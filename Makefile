@@ -102,11 +102,11 @@ bench-city:
 
 # Per-package coverage floors for the subsystems whose correctness
 # arguments live in their tests (dirty-set soundness, prune
-# conservativeness, the distributed bound exchange, the gateway's
-# protocol/auth/SSE surface and its metric exposition, and the hybrid
-# keyword index's predicate/posting algebra). Writes COVERAGE.txt and
-# fails below 80%.
-COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/gateway ./internal/metrics ./internal/textidx
+# conservativeness, the distributed bound exchange, the shard RPC's
+# framing/auth/deadline surface, the gateway's protocol/auth/SSE surface
+# and its metric exposition, and the hybrid keyword index's
+# predicate/posting algebra). Writes COVERAGE.txt and fails below 80%.
+COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/modserver ./internal/gateway ./internal/metrics ./internal/textidx
 cover:
 	@set -e; rm -f COVERAGE.txt; \
 	for pkg in $(COVER_PKGS); do \
@@ -143,9 +143,8 @@ chaos-soak:
 serve-smoke:
 	./scripts/compose-smoke.sh
 
-# Static analysis. SA1019 flags in-repo uses of the deprecated pre-Request
-# surface (NewQueryProcessor, Exec/ExecBatch, RunUQL, ...) so migrations
-# stay honest. The binary is optional locally; CI installs it.
+# Static analysis (SA1019 flags in-repo uses of anything marked
+# Deprecated). The binary is optional locally; CI installs it.
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

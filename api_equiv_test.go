@@ -1,12 +1,10 @@
-//lint:file-ignore SA1019 this golden test deliberately exercises the
-// deprecated facade wrappers against the unified Engine.Do route.
-
 package repro_test
 
-// The API-redesign acceptance gate: every deprecated facade entry point
-// must return byte-identical answers to the equivalent Engine.Do call on
-// a seeded 500-trajectory store, and context cancellation must stop a
-// batch mid-flight with context.Canceled while leaving the store usable.
+// The facade's golden gate: Engine.Do (directly and through compiled UQL)
+// must return byte-identical answers to the full-scan reference
+// implementations in internal/queries on a seeded 500-trajectory store,
+// and context cancellation must stop a batch mid-flight with
+// context.Canceled while leaving the store usable.
 
 import (
 	"context"
@@ -17,6 +15,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/queries"
 )
 
 func seededEquivStore(t *testing.T, n int) *repro.Store {
@@ -35,8 +34,9 @@ func seededEquivStore(t *testing.T, n int) *repro.Store {
 	return store
 }
 
-// TestGoldenFacadeEquivalence compares the deprecated surface against
-// Engine.Do, variant by variant, on a 500-trajectory store.
+// TestGoldenFacadeEquivalence compares Engine.Do against the full-scan
+// reference processor and the engine's own memoized, index-pruned
+// processor, variant by variant, on a 500-trajectory store.
 func TestGoldenFacadeEquivalence(t *testing.T) {
 	n := 500
 	if testing.Short() {
@@ -56,16 +56,16 @@ func TestGoldenFacadeEquivalence(t *testing.T) {
 		return res
 	}
 
-	// 1. NewQueryProcessor (full scan) and NewIndexedQueryProcessor.
+	// 1. The full-scan reference processor and the engine's indexed one.
 	q, err := store.Get(qOID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := repro.NewQueryProcessor(store.All(), q, tb, te, store.Radius())
+	full, err := queries.NewProcessor(store.All(), q, tb, te, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := repro.NewIndexedQueryProcessor(store, qOID, tb, te)
+	indexed, err := eng.Processor(store, qOID, tb, te)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,75 +114,43 @@ func TestGoldenFacadeEquivalence(t *testing.T) {
 		}
 	}
 
-	// 2. Engine.Exec / Engine.ExecBatch.
-	batch := repro.BatchRequest{
-		QueryOID: qOID, Tb: tb, Te: te,
-		Queries: []repro.BatchQuery{
-			{Kind: repro.KindUQ31},
-			{Kind: repro.KindUQ41, K: 2},
-			{Kind: repro.KindUQ13, OID: 2, X: 0.1},
-			{Kind: repro.KindAllNNAt, T: 30},
-		},
+	// 2. Compiled UQL statements against the reference processor.
+	stmts := []struct {
+		uql  string
+		want func() (any, error)
+	}{
+		{fmt.Sprintf("SELECT T FROM MOD WHERE EXISTS Time IN [%g, %g] AND ProbabilityNN(T, %d, Time) > 0", tb, te, qOID),
+			func() (any, error) { return full.UQ31(), nil }},
+		{fmt.Sprintf("SELECT T FROM MOD WHERE ATLEAST 40%% Time IN [%g, %g] AND ProbabilityNN(T, %d, Time) > 0", tb, te, qOID),
+			func() (any, error) { return full.UQ33(0.4) }},
+		{fmt.Sprintf("SELECT 2 FROM MOD WHERE FORALL Time IN [%g, %g] AND ProbabilityNN(2, %d, Time) > 0", tb, te, qOID),
+			func() (any, error) { return full.UQ12(2) }},
+		{fmt.Sprintf("SELECT T FROM MOD WHERE AT Time = 30 WITHIN [%g, %g] AND ProbabilityKNN(T, %d, Time, 2) > 0", tb, te, qOID),
+			func() (any, error) { return full.PossibleRankKAt(30, 2) }},
 	}
-	bres, err := eng.ExecBatch(store, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]repro.Request, len(batch.Queries))
-	for i, bq := range batch.Queries {
-		reqs[i] = repro.Request{Kind: bq.Kind, QueryOID: qOID, Tb: tb, Te: te, OID: bq.OID, K: bq.K, X: bq.X, T: bq.T}
-	}
-	dres, err := eng.DoBatch(ctx, store, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		it, r := bres.Items[i], dres[i]
-		if it.Err != nil || r.Err != nil {
-			t.Fatalf("batch item %d: %v / %v", i, it.Err, r.Err)
+	for _, st := range stmts {
+		req, ok, err := repro.CompileUQL(st.uql)
+		if err != nil || !ok {
+			t.Fatalf("CompileUQL(%q): ok=%v err=%v", st.uql, ok, err)
 		}
-		if it.IsBool != r.IsBool || it.Bool != r.Bool || !reflect.DeepEqual(it.OIDs, r.OIDs) {
-			t.Fatalf("batch item %d: exec %+v != do %+v", i, it, r)
-		}
-		one := eng.Exec(store, qOID, tb, te, batch.Queries[i])
-		if one.IsBool != r.IsBool || one.Bool != r.Bool || !reflect.DeepEqual(one.OIDs, r.OIDs) {
-			t.Fatalf("exec item %d diverged from do", i)
-		}
-	}
-
-	// 3. RunUQL / RunUQLBatch against their compiled Requests.
-	stmts := []string{
-		fmt.Sprintf("SELECT T FROM MOD WHERE EXISTS Time IN [%g, %g] AND ProbabilityNN(T, %d, Time) > 0", tb, te, qOID),
-		fmt.Sprintf("SELECT T FROM MOD WHERE ATLEAST 40%% Time IN [%g, %g] AND ProbabilityNN(T, %d, Time) > 0", tb, te, qOID),
-		fmt.Sprintf("SELECT 2 FROM MOD WHERE FORALL Time IN [%g, %g] AND ProbabilityNN(2, %d, Time) > 0", tb, te, qOID),
-		fmt.Sprintf("SELECT T FROM MOD WHERE AT Time = 30 WITHIN [%g, %g] AND ProbabilityKNN(T, %d, Time, 2) > 0", tb, te, qOID),
-	}
-	items := repro.RunUQLBatch(stmts, store, eng)
-	for i, stmt := range stmts {
-		if items[i].Err != nil {
-			t.Fatalf("uql %q: %v", stmt, items[i].Err)
-		}
-		single, err := repro.RunUQL(stmt, store)
+		want, err := st.want()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(single) != fmt.Sprint(items[i].Result) {
-			t.Fatalf("RunUQL vs RunUQLBatch diverged on %q", stmt)
-		}
-		req, ok, err := repro.CompileUQL(stmt)
-		if err != nil || !ok {
-			t.Fatalf("CompileUQL(%q): ok=%v err=%v", stmt, ok, err)
-		}
 		res := do(req)
-		if res.IsBool != items[i].Result.IsBool || res.Bool != items[i].Result.Bool ||
-			!reflect.DeepEqual(res.OIDs, items[i].Result.OIDs) {
-			t.Fatalf("compiled %q diverged: do=%+v uql=%+v", stmt, res, items[i].Result)
+		var got any = res.OIDs
+		if res.IsBool {
+			got = res.Bool
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("compiled %q diverged: do=%v reference=%v", st.uql, got, want)
 		}
 	}
 
-	// 4. All-pairs and reverse wrappers on a small subset (quadratic cost).
+	// 3. All-pairs and reverse against their full-scan references on a
+	// small subset (quadratic cost).
 	sub := store.All()[:40]
-	wantPairs, err := repro.AllPairsPossibleNN(sub, tb, te, store.Radius())
+	wantPairs, err := queries.AllPairsPossibleNN(sub, tb, te, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +166,9 @@ func TestGoldenFacadeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotPairs.Pairs, wantPairs) {
-		t.Fatal("AllPairsPossibleNN diverged from KindAllPairs")
+		t.Fatal("reference all-pairs diverged from KindAllPairs")
 	}
-	wantRev, err := repro.ReversePossibleNN(sub, sub[3], tb, te, store.Radius())
+	wantRev, err := queries.ReversePossibleNN(sub, sub[3], tb, te, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +177,7 @@ func TestGoldenFacadeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotRev.OIDs, wantRev) {
-		t.Fatalf("ReversePossibleNN diverged: %v vs %v", wantRev, gotRev.OIDs)
+		t.Fatalf("reference reverse diverged: %v vs %v", wantRev, gotRev.OIDs)
 	}
 }
 

@@ -1,26 +1,33 @@
-// Command modserver serves a MOD store over TCP with the line-delimited
-// JSON protocol of internal/modserver:
+// Command modserver runs one node of the system. Its default mode is a
+// cluster shard: it serves a MOD store over TCP with the shard RPC of
+// internal/modserver — the bound-exchange and distributed-refine query
+// phases, point lookups, and journaled ingest that a cluster router
+// (repro.NewRemoteShard pointed at -addr) drives:
 //
 //	modserver -store fleet.mod -addr :7700
 //	modserver -r 0.5 -addr 127.0.0.1:7700      # start empty
 //
-// Clients insert trajectories and pose UQL statements; see
-// internal/modserver for the protocol and a Go client.
-//
-// Shard serving: the query op's bounds/survivors/all phases make any
-// modserver usable as one shard of a cluster router (repro.NewRemoteShard
-// points at -addr). -shard-of splits a store file and serves only the
-// hash partition this instance owns:
+// -shard-of splits a store file and serves only the hash partition this
+// instance owns:
 //
 //	modserver -store fleet.mod -addr :7701 -shard-of 4 -shard-index 0
 //	modserver -store fleet.mod -addr :7702 -shard-of 4 -shard-index 1
 //	...
 //
-// -read-timeout and -max-line harden the serving layer: a stalled client
-// is disconnected at the read deadline, an oversized request line is
-// rejected with a diagnostic. -tls-cert/-tls-key serve the line protocol
-// over TLS, and -token requires every connection to authenticate with a
-// bearer token before its first operation.
+// Clients never speak the shard RPC. Single-node clients use `modserver
+// serve`, which mounts the HTTP+JSON gateway (internal/gateway) over a
+// local engine; with -shards the same gateway fronts a cluster of
+// modserver shard processes. See the serve subcommand's -help:
+//
+//	modserver serve -http :8080 -r 0.5
+//	modserver serve -http :8443 -tls-cert gw.pem -tls-key gw.key \
+//	    -shards shard0:7701,shard1:7702 -shard-ca ca.pem -shard-token s3cr3t
+//
+// -read-timeout and -max-line harden the shard: a stalled connection is
+// closed at the read deadline, an oversized request line is rejected with
+// a diagnostic. -tls-cert/-tls-key serve the shard RPC over TLS, and
+// -token requires every connection to authenticate with a bearer token
+// before its first operation.
 //
 // Durability: -wal-dir journals every applied ingest batch to a
 // write-ahead log with periodic snapshots, so a crash loses nothing that
@@ -33,18 +40,8 @@
 //	modserver -wal-dir /var/lib/mod/wal -resume              # every restart
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting,
-// in-flight requests finish, idle connections are detached (their
-// subscriptions stay resumable), and the WAL takes a final fsync before
-// the process exits.
-//
-// HTTP gateway: `modserver serve` mounts the HTTP+JSON gateway
-// (internal/gateway) instead of the line protocol — over a local engine
-// or, with -shards, over a cluster of modserver shard processes. See the
-// serve subcommand's -help and docs/ for details:
-//
-//	modserver serve -http :8080 -r 0.5
-//	modserver serve -http :8443 -tls-cert gw.pem -tls-key gw.key \
-//	    -shards shard0:7701,shard1:7702 -shard-ca ca.pem -shard-token s3cr3t
+// in-flight requests finish, idle connections are closed, and the WAL
+// takes a final fsync before the process exits.
 package main
 
 import (

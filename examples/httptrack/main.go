@@ -1,11 +1,11 @@
 // Httptrack is livetrack over the production HTTP gateway: the same
-// simulated fleet and standing subscription served two ways at once — a
-// TCP modserver with the line protocol, and the HTTP gateway with an SSE
+// simulated fleet and standing subscription run two ways at once — an
+// in-process live hub (the oracle), and the HTTP gateway with an SSE
 // subscription — while scripted plan revisions flow into both worlds.
-// The demo prints the two event streams side by side, severs the SSE
-// connection mid-run, keeps ingesting, and resumes the stream with
-// from_seq on the replay backlog; every event (including the replayed
-// tail) must be byte-identical across transports.
+// The demo checks the SSE stream against the oracle event by event,
+// severs the SSE connection mid-run, keeps ingesting, and resumes the
+// stream with from_seq on the replay backlog; every event (including the
+// replayed tail) must be byte-identical to the oracle's.
 //
 //	go run ./examples/httptrack
 package main
@@ -51,32 +51,22 @@ func run() error {
 		return store, store.InsertAll(trs)
 	}
 
-	// World T: a TCP modserver with the line protocol.
-	storeT, err := build()
+	// World O: the oracle, a live hub driven in process.
+	storeO, err := build()
 	if err != nil {
 		return err
 	}
-	lt, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	tcpSrv := repro.NewModServer(storeT, repro.NewEngine(0), repro.ModServerOptions{})
-	go tcpSrv.Serve(lt)
-	defer tcpSrv.Close()
-	tcp, err := repro.DialModServer(lt.Addr().String(), repro.ModDialOptions{})
-	if err != nil {
-		return err
-	}
-	defer tcp.Close()
+	oracle := repro.NewLiveHub(storeO, repro.NewEngine(0))
+	defer oracle.Close()
 
-	// World H: an identical store behind the HTTP gateway. The hub stays
-	// in scope as the oracle telling us how many events each step emits.
+	// World H: an identical store behind the HTTP gateway.
 	storeH, err := build()
 	if err != nil {
 		return err
 	}
 	engH := repro.NewEngine(0)
 	hub := repro.NewLiveHub(storeH, engH)
+	defer hub.Close()
 	gw, err := repro.NewGateway(repro.GatewayOptions{
 		Backend: repro.EngineGatewayBackend{Eng: engH, Store: storeH},
 		Hub:     hub,
@@ -92,9 +82,10 @@ func run() error {
 	defer gw.Shutdown(context.Background())
 	base := "http://" + lh.Addr().String()
 
-	// One standing query on each transport.
+	// One standing query in each world.
+	ctx := context.Background()
 	req := repro.Request{Kind: repro.KindUQ31, QueryOID: 1, Tb: 0, Te: span}
-	_, resT, err := tcp.Subscribe(req)
+	_, resO, err := oracle.Subscribe(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -102,15 +93,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if a, b := canonicalResult(resT), canonicalResult(resH); a != b {
-		return fmt.Errorf("initial answers diverge:\n  tcp  %s\n  http %s", a, b)
+	if a, b := canonicalResult(resO), canonicalResult(resH); a != b {
+		return fmt.Errorf("initial answers diverge:\n  oracle %s\n  http   %s", a, b)
 	}
-	fmt.Printf("subscribed on both transports (%s q=%d): initial answer %s\n",
-		req.Kind, req.QueryOID, canonicalResult(resT))
+	fmt.Printf("subscribed in process and over SSE (%s q=%d): initial answer %s\n",
+		req.Kind, req.QueryOID, canonicalResult(resO))
 
 	// Scripted revisions: every step steers a band of the fleet toward
 	// query object 1's path, guaranteeing churn in the standing answer.
-	q1, err := storeT.Get(1)
+	q1, err := storeO.Get(1)
 	if err != nil {
 		return err
 	}
@@ -119,7 +110,7 @@ func run() error {
 		var batch []repro.Update
 		for k := 0; k < 6; k++ {
 			oid := int64(30 + n*6 + k)
-			tr, err := storeT.Get(oid)
+			tr, err := storeO.Get(oid)
 			if err != nil {
 				continue
 			}
@@ -134,48 +125,51 @@ func run() error {
 		return batch
 	}
 
-	var lastSeq, oracleSeq uint64
-	ingestBoth := func(n int) (emitted []repro.LiveEvent, err error) {
+	// ingestBoth applies one step to both worlds and returns the oracle's
+	// events — exactly what the SSE stream must carry for this step, so
+	// no stream read can block waiting for an event that never comes.
+	ingestBoth := func(n int) ([]repro.LiveEvent, error) {
 		batch := step(n)
-		if _, err := tcp.Ingest(batch); err != nil {
-			return nil, fmt.Errorf("tcp ingest: %w", err)
+		_, emitted, err := oracle.Ingest(ctx, batch)
+		if err != nil {
+			return nil, fmt.Errorf("oracle ingest: %w", err)
 		}
 		if err := httpIngest(base, batch); err != nil {
 			return nil, fmt.Errorf("http ingest: %w", err)
 		}
-		// The in-process hub knows exactly which events this step emitted,
-		// so neither stream read can block waiting for an event that never
-		// comes.
-		emitted, err = hub.Replay(subID, oracleSeq)
-		if len(emitted) > 0 {
-			oracleSeq = emitted[len(emitted)-1].Seq
+		return emitted, nil
+	}
+	// expect reads one SSE event per oracle event and demands identity.
+	expect := func(stream *sseStream, want []repro.LiveEvent, note string) (uint64, error) {
+		var seq uint64
+		for _, w := range want {
+			evH, err := stream.next()
+			if err != nil {
+				return 0, fmt.Errorf("sse event: %w", err)
+			}
+			if a, b := canonicalEvent(w), canonicalEvent(evH); a != b {
+				return 0, fmt.Errorf("stream diverges from the oracle:\n  oracle %s\n  http   %s", a, b)
+			}
+			seq = evH.Seq
+			fmt.Printf("  seq=%d +%v -%v -> %v   (%s)\n", evH.Seq, evH.Added, evH.Removed, evH.OIDs, note)
 		}
-		return emitted, err
+		return seq, nil
 	}
 
-	fmt.Println("\nphase 1: live on both transports")
+	var lastSeq uint64
+	fmt.Println("\nphase 1: live SSE stream against the in-process oracle")
 	for n := 1; n <= 3; n++ {
 		emitted, err := ingestBoth(n)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("step %d: %d events\n", n, len(emitted))
-		for range emitted {
-			evT, err := tcp.NextEvent()
-			if err != nil {
-				return fmt.Errorf("tcp event: %w", err)
-			}
-			evH, err := sse.next()
-			if err != nil {
-				return fmt.Errorf("sse event: %w", err)
-			}
-			a, b := canonicalEvent(evT), canonicalEvent(evH)
-			if a != b {
-				return fmt.Errorf("streams diverge:\n  tcp  %s\n  http %s", a, b)
-			}
-			lastSeq = evH.Seq
-			fmt.Printf("  seq=%d +%v -%v -> %v   (identical over TCP and SSE)\n",
-				evH.Seq, evH.Added, evH.Removed, evH.OIDs)
+		seq, err := expect(sse, emitted, "SSE == oracle")
+		if err != nil {
+			return err
+		}
+		if len(emitted) > 0 {
+			lastSeq = seq
 		}
 	}
 
@@ -188,7 +182,7 @@ func run() error {
 			return err
 		}
 		missed = append(missed, emitted...)
-		fmt.Printf("step %d: %d events (TCP live, HTTP parked)\n", n, len(emitted))
+		fmt.Printf("step %d: %d events (oracle live, HTTP parked)\n", n, len(emitted))
 	}
 
 	fmt.Printf("\nphase 3: resume from seq %d replays the missed tail\n", lastSeq)
@@ -197,28 +191,14 @@ func run() error {
 		return err
 	}
 	defer resumed.close()
-	for _, want := range missed {
-		evT, err := tcp.NextEvent()
-		if err != nil {
-			return fmt.Errorf("tcp event: %w", err)
-		}
-		evH, err := resumed.next()
-		if err != nil {
-			return fmt.Errorf("resumed sse event: %w", err)
-		}
-		a, b, c := canonicalEvent(evT), canonicalEvent(evH), canonicalEvent(want)
-		if a != b || b != c {
-			return fmt.Errorf("resumed stream diverges:\n  tcp    %s\n  http   %s\n  oracle %s", a, b, c)
-		}
-		lastSeq = evH.Seq
-		fmt.Printf("  seq=%d +%v -%v -> %v   (replayed == TCP live)\n",
-			evH.Seq, evH.Added, evH.Removed, evH.OIDs)
+	if _, err := expect(resumed, missed, "replayed == oracle"); err != nil {
+		return err
 	}
 
 	stats := hub.Stats()
-	fmt.Printf("\nhub: %d updates, %d re-evaluations, %d dirty-set skips\n",
+	fmt.Printf("\ngateway hub: %d updates, %d re-evaluations, %d dirty-set skips\n",
 		stats.Ingested, stats.Evals, stats.Skips)
-	fmt.Println("every event byte-identical across TCP and HTTP/SSE, through a dropped connection ✓")
+	fmt.Println("every SSE event byte-identical to the in-process oracle, through a dropped connection ✓")
 	return nil
 }
 

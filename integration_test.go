@@ -1,11 +1,8 @@
-//lint:file-ignore SA1019 the integration suite keeps covering the
-// deprecated compatibility wrappers until they are removed.
-
 package repro_test
 
 // End-to-end integration tests spanning the whole pipeline: workload →
 // MOD store (+persistence, +index) → IPAC-NN tree → query variants → UQL
-// → TCP server, with Monte Carlo cross-validation of the probabilistic
+// → compiled Request, with Monte Carlo cross-validation of the probabilistic
 // answers. These are the "does the system hang together" tests; per-module
 // behaviour is covered in each package.
 
@@ -13,14 +10,13 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 
 	"repro"
 	"repro/internal/envelope"
 	"repro/internal/geom"
 	"repro/internal/mod"
-	"repro/internal/modserver"
+	"repro/internal/queries"
 	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/uncertain"
@@ -94,7 +90,7 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 	}
 
 	// Tree answers vs processor answers vs envelope.
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, r)
+	proc, err := queries.NewProcessor(store.All(), q, 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +154,10 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 	}
 }
 
-// TestPipelineOverTCP: the same answers through the network layer.
-func TestPipelineOverTCP(t *testing.T) {
+// TestPipelineCompiledUQL: a UQL statement compiled to a Request and
+// evaluated by the engine answers exactly like the full-scan reference
+// processor.
+func TestPipelineCompiledUQL(t *testing.T) {
 	store, err := repro.NewUniformStore(0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -171,34 +169,22 @@ func TestPipelineOverTCP(t *testing.T) {
 	if err := store.InsertAll(trs); err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	got := doUQL(t, repro.NewEngine(0), store,
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")[0]
+	q, err := store.Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := modserver.NewServer(store)
-	go srv.Serve(l)
-	defer srv.Close()
-
-	c, err := modserver.Dial(l.Addr().String())
+	proc, err := queries.NewProcessor(store.All(), q, 0, 60, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	const stmt = "SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0"
-	remote, err := c.UQL(stmt)
-	if err != nil {
-		t.Fatal(err)
+	want := proc.UQ31()
+	if len(got.OIDs) != len(want) {
+		t.Fatalf("compiled %v vs reference %v", got.OIDs, want)
 	}
-	local, err := repro.RunUQL(stmt, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote.OIDs) != len(local.OIDs) {
-		t.Fatalf("remote %v vs local %v", remote.OIDs, local.OIDs)
-	}
-	for i := range local.OIDs {
-		if remote.OIDs[i] != local.OIDs[i] {
+	for i := range want {
+		if got.OIDs[i] != want[i] {
 			t.Fatalf("divergence at %d", i)
 		}
 	}
@@ -226,11 +212,11 @@ func TestSimplificationPreservesAnswers(t *testing.T) {
 			t.Fatalf("oid %d: deviation %g", tr.OID, dev)
 		}
 	}
-	p1, err := repro.NewQueryProcessor(trs, trs[0], 0, 60, r)
+	p1, err := queries.NewProcessor(trs, trs[0], 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := repro.NewQueryProcessor(simplified, simplified[0], 0, 60, r)
+	p2, err := queries.NewProcessor(simplified, simplified[0], 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +290,7 @@ func TestGuaranteedVsThresholdConsistency(t *testing.T) {
 		return tr
 	}
 	trs := []*trajectory.Trajectory{mk(100, 0), mk(1, 2), mk(2, 20)}
-	proc, err := repro.NewQueryProcessor(trs, trs[0], 0, 60, 0.5)
+	proc, err := queries.NewProcessor(trs, trs[0], 0, 60, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

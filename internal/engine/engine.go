@@ -21,8 +21,7 @@
 //
 // Entry points: Do for one request, DoBatch for a batch (see request.go
 // for the unified Request/Result contract), Processor for the memoized
-// preprocessing alone. Exec and ExecBatch are the deprecated pre-Request
-// surface, reimplemented as thin wrappers over Do/DoBatch.
+// preprocessing alone.
 package engine
 
 import (

@@ -3,11 +3,10 @@
 // Section 4 (plus the Section 7 extensions), one Result envelope carrying
 // the answer together with its Explain provenance, and a typed error
 // taxonomy shared across layers. Engine.Do / Engine.DoBatch are the single
-// execution route — the UQL evaluator, the modserver "query" op, and the
-// legacy Exec/ExecBatch facade all compile down to them — and both honor
-// context cancellation end-to-end: between per-OID worker tasks, between
-// batch members, inside the index candidate pre-pass, and inside lazy
-// envelope builds.
+// execution route — the UQL evaluator, the gateway, and the cluster
+// shards all compile down to them — and both honor context cancellation
+// end-to-end: between per-OID worker tasks, between batch members, inside
+// the index candidate pre-pass, and inside lazy envelope builds.
 package engine
 
 import (
@@ -25,9 +24,35 @@ import (
 	"repro/internal/trajectory"
 )
 
-// Additional query kinds of the unified API, beyond the UQ11..UQ43 and
-// fixed-time kinds declared in batch.go.
+// Kind names one of the continuous query variants of the paper's Section 4
+// (plus the fixed-time instant variants and the Section 7 extensions).
+// Category 1/2 kinds answer a boolean about Request.OID; Category 3/4
+// kinds retrieve an OID list.
+type Kind string
+
+// Supported query kinds.
 const (
+	// Category 1: single object vs the Level-1 envelope.
+	KindUQ11 Kind = "UQ11" // ∃t possible-NN
+	KindUQ12 Kind = "UQ12" // ∀t possible-NN
+	KindUQ13 Kind = "UQ13" // possible-NN ≥ X% of the window
+	// Category 2: single object vs the Level-k envelope.
+	KindUQ21 Kind = "UQ21"
+	KindUQ22 Kind = "UQ22"
+	KindUQ23 Kind = "UQ23"
+	// Category 3: whole-MOD retrieval vs the Level-1 envelope.
+	KindUQ31 Kind = "UQ31"
+	KindUQ32 Kind = "UQ32"
+	KindUQ33 Kind = "UQ33"
+	// Category 4: whole-MOD retrieval vs the Level-k envelope.
+	KindUQ41 Kind = "UQ41"
+	KindUQ42 Kind = "UQ42"
+	KindUQ43 Kind = "UQ43"
+	// Fixed-time instant variants.
+	KindNNAt      Kind = "NN@"      // single object possible-NN at T
+	KindRankAt    Kind = "RANK@"    // single object possible rank-k at T
+	KindAllNNAt   Kind = "ALLNN@"   // all possible-NN objects at T
+	KindAllRankAt Kind = "ALLRANK@" // all possible rank-k objects at T
 	// KindThreshold asks whether object OID has probability >= P of being
 	// the NN for at least fraction X of the window (the paper's Section 7
 	// "more than 65% probability within 50% of the time" query).
@@ -50,7 +75,7 @@ const (
 var (
 	// ErrBadWindow reports a query window with te <= tb (or a NaN bound).
 	// Request.Validate is the single place the check happens, so every
-	// route — Do, the legacy facade, UQL, the wire protocol — rejects a
+	// route — Do, UQL, the gateway, the shard protocol — rejects a
 	// degenerate window identically instead of some constructors erroring
 	// and others silently answering empty.
 	ErrBadWindow = errors.New("engine: query window must satisfy tb < te")
@@ -70,8 +95,8 @@ var (
 // system answers is expressible as a Request, and every execution route
 // reduces to Engine.Do(ctx, store, req). The struct is flat and
 // JSON-serializable on purpose — it is the contract a shard router or
-// network proxy forwards verbatim (the modserver "query" op carries it on
-// the wire unchanged).
+// network proxy forwards verbatim (the gateway's /v1/query body and the
+// shard refine phase carry it unchanged).
 //
 // Which fields matter depends on Kind: OID for the single-object kinds
 // (Categories 1/2, the single-object instant kinds, KindThreshold) and the
@@ -418,7 +443,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 // execRequest dispatches one validated request against a ready processor.
 // Whole-MOD kinds fan per-OID tasks across the worker pool with ctx
 // checked between tasks; single-object kinds are O(N) and run inline.
-func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Request) Item {
+func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Request) Result {
 	return e.execRequestRestricted(ctx, p, req, nil)
 }
 
@@ -427,16 +452,16 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Requ
 // only the candidates that also appear in own (a sorted OID list), which is
 // how a shard evaluates its share of a distributed refine. own == nil means
 // the full domain; the single-object kinds ignore it entirely.
-func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) Item {
-	boolItem := func(b bool, err error) Item { return Item{IsBool: true, Bool: b, Err: err} }
-	listItem := func(ids []int64, err error) Item { return Item{OIDs: ids, Err: err} }
+func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) Result {
+	boolItem := func(b bool, err error) Result { return Result{IsBool: true, Bool: b, Err: err} }
+	listItem := func(ids []int64, err error) Result { return Result{OIDs: ids, Err: err} }
 	domain := func(base []int64) []int64 {
 		if own == nil {
 			return base
 		}
 		return queries.IntersectSorted(base, own)
 	}
-	filter := func(pred func(oid int64) (bool, error)) Item {
+	filter := func(pred func(oid int64) (bool, error)) Result {
 		return listItem(e.filterOIDs(ctx, domain(p.CandidateOIDs()), pred))
 	}
 	switch req.Kind {
@@ -481,7 +506,7 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 			return p.ThresholdNN(oid, req.P, req.X, queries.ThresholdConfig{})
 		}))
 	default:
-		return Item{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
+		return Result{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
 	}
 }
 

@@ -74,45 +74,6 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-// TestDoMatchesExec: the deprecated Exec surface and the unified Do must
-// answer identically kind by kind.
-func TestDoMatchesExec(t *testing.T) {
-	store, qOID := newStore(t, 150, 13)
-	eng := New(0)
-	ctx := context.Background()
-	qs := append(batchKinds(),
-		Query{Kind: KindUQ11, OID: qOID + 3},
-		Query{Kind: KindUQ12, OID: qOID + 3},
-		Query{Kind: KindUQ22, OID: qOID + 4, K: 2},
-		Query{Kind: KindNNAt, OID: qOID + 5, T: 20},
-		Query{Kind: KindRankAt, OID: qOID + 5, T: 20, K: 2},
-	)
-	for _, q := range qs {
-		item := eng.Exec(store, qOID, 0, 60, q)
-		res, err := eng.Do(ctx, store, q.request(qOID, 0, 60))
-		if (item.Err == nil) != (err == nil) {
-			t.Fatalf("%s: exec err=%v, do err=%v", q.Kind, item.Err, err)
-		}
-		if item.IsBool != res.IsBool || item.Bool != res.Bool || !reflect.DeepEqual(item.OIDs, res.OIDs) {
-			t.Fatalf("%s: exec %+v != do %+v", q.Kind, item, res)
-		}
-		if res.Explain.Workers != eng.Workers() {
-			t.Fatalf("%s: explain workers %d != %d", q.Kind, res.Explain.Workers, eng.Workers())
-		}
-	}
-	// Explain reports envelope reuse on the second identical request.
-	res, err := eng.Do(ctx, store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Explain.MemoHit {
-		t.Error("repeat request did not report a memo hit")
-	}
-	if res.Explain.Candidates == 0 || res.Explain.Survivors == 0 {
-		t.Errorf("explain counters empty: %+v", res.Explain)
-	}
-}
-
 // TestDoThresholdAndExtensions checks the Section 7 kinds against their
 // serial Processor counterparts.
 func TestDoThresholdAndExtensions(t *testing.T) {

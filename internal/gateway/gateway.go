@@ -16,10 +16,11 @@
 //	GET  /openapi.yaml  the committed OpenAPI 3 description
 //
 // The /v1 routes require `Authorization: Bearer <token>` when a token is
-// configured; the operational routes stay open. The same engine.Request
-// and engine.Result JSON shapes cross this seam as cross the TCP
-// modserver protocol, so an HTTP client and a TCP client see identical
-// answers.
+// configured; the operational routes stay open. The gateway is the one
+// client surface: the engine.Request and engine.Result JSON shapes cross
+// it verbatim, and /v1/ingest speaks the shard RPC's update codec
+// (modserver.WireTraj in, modserver.WireApplied out), so one encoding
+// serves clients and shards alike.
 //
 // A spatio-textual query restricts the answer universe to the tagged
 // sub-MOD via the request's `where` predicate ({all, any, not} tag
@@ -38,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -51,8 +51,8 @@ import (
 	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/modserver"
 	"repro/internal/textidx"
-	"repro/internal/trajectory"
 )
 
 // ErrUnauthorized is the typed refusal for a missing or wrong bearer
@@ -70,9 +70,16 @@ const StatusClientClosed = 499
 // ingest batch with room to spare).
 const DefaultMaxBodyBytes = 8 << 20
 
-// DefaultMaxDetached bounds detached (resumable) SSE subscriptions, LRU
-// evicted — mirroring the modserver's default.
-const DefaultMaxDetached = 64
+// MaxDetached bounds detached (resumable) SSE subscriptions; past it the
+// oldest is LRU-evicted and unsubscribed from the hub.
+const MaxDetached = 64
+
+// DetachedTTL is how long a detached subscription stays resumable before
+// the gateway expires it (unsubscribes it from the hub, so its backlog
+// memory and per-ingest evaluation stop). Long enough to ride out a
+// reconnect backoff; short enough that churny subscribe/disconnect load
+// cannot pin hub work behind readers that are never coming back.
+const DetachedTTL = 2 * time.Minute
 
 // DefaultEventBuffer is the per-stream event channel depth; a consumer
 // that falls this many events behind is severed (and left resumable).
@@ -130,9 +137,6 @@ type Options struct {
 	// deadlines; client deadline_ms values are clamped to it. 0 means
 	// no ceiling.
 	RequestTimeout time.Duration
-	// MaxDetached bounds resumable detached subscriptions
-	// (DefaultMaxDetached when 0; negative disables resume retention).
-	MaxDetached int
 	// EventBuffer is the per-SSE-stream channel depth
 	// (DefaultEventBuffer when 0).
 	EventBuffer int
@@ -157,10 +161,16 @@ type Server struct {
 	subsMu      sync.Mutex
 	subscribers map[int64]*sseStream
 	// detached holds subscriptions whose stream ended but which stay
-	// live in the hub awaiting a from_seq resume; detachedOrder is
-	// their LRU eviction order.
-	detached      map[int64]struct{}
-	detachedOrder []int64
+	// live in the hub awaiting a from_seq resume, keyed to their park
+	// time; detachedOrder is their park order (oldest first), which is
+	// both the LRU eviction order and the DetachedTTL expiry order.
+	detached      map[int64]time.Time
+	detachedOrder []parkEntry
+	// maxDetached is MaxDetached; in-package tests lower it.
+	maxDetached int
+	// now is the DetachedTTL clock (time.Now; tests substitute a
+	// stepped clock).
+	now func() time.Time
 }
 
 // New builds a Server from opts.
@@ -174,16 +184,15 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.MaxDetached == 0 {
-		opts.MaxDetached = DefaultMaxDetached
-	}
 	if opts.EventBuffer == 0 {
 		opts.EventBuffer = DefaultEventBuffer
 	}
 	s := &Server{
 		opts:        opts,
 		subscribers: make(map[int64]*sseStream),
-		detached:    make(map[int64]struct{}),
+		detached:    make(map[int64]time.Time),
+		maxDetached: MaxDetached,
+		now:         time.Now,
 	}
 	s.handler = s.buildHandler()
 	s.hs = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
@@ -349,37 +358,12 @@ type errorBody struct {
 	Error apiError `json:"error"`
 }
 
-// wireUpdate / wireApplied mirror the modserver's ingest shapes, so the
-// HTTP and TCP live layers speak the same vertices and tag sets. Tags is
-// a tri-state like mod.Update's: absent/null leaves the object's tags
-// untouched, [] clears them, a non-empty list replaces them.
-type wireUpdate struct {
-	OID   int64        `json:"oid"`
-	Verts [][3]float64 `json:"verts,omitempty"`
-	Tags  *[]string    `json:"tags,omitempty"`
-}
-
-// wireApplied carries one applied outcome. ChangedFrom is omitted for
-// inserts (-Inf in memory) and for pure tag flips, which set TagsOnly
-// instead (+Inf in memory: no motion changed; JSON has no Inf literal).
-type wireApplied struct {
-	OID         int64        `json:"oid"`
-	Inserted    bool         `json:"inserted,omitempty"`
-	ChangedFrom float64      `json:"changed_from,omitempty"`
-	TagsOnly    bool         `json:"tags_only,omitempty"`
-	Verts       [][3]float64 `json:"verts,omitempty"`
-	PrevVerts   [][3]float64 `json:"prev_verts,omitempty"`
-	TagsChanged bool         `json:"tags_changed,omitempty"`
-	Tags        []string     `json:"tags,omitempty"`
-	PrevTags    []string     `json:"prev_tags,omitempty"`
-}
-
 type ingestRequest struct {
-	Updates []wireUpdate `json:"updates"`
+	Updates []modserver.WireTraj `json:"updates"`
 }
 
 type ingestResponse struct {
-	Applied []wireApplied `json:"applied"`
+	Applied []modserver.WireApplied `json:"applied"`
 }
 
 // ---- error taxonomy ----------------------------------------------------
@@ -564,17 +548,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badReq(errors.New("gateway: empty ingest batch")))
 		return
 	}
-	updates := make([]mod.Update, len(ir.Updates))
-	for i, wu := range ir.Updates {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		if len(wu.Verts) == 0 {
-			verts = nil // pure tag flip: no motion change
-		}
-		updates[i] = mod.Update{OID: wu.OID, Verts: verts, Tags: wu.Tags}
-	}
+	updates := modserver.DecodeUpdates(ir.Updates)
 
 	ctx, cancel := s.reqCtx(r, 0)
 	defer cancel()
@@ -583,6 +557,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// fan-out — journal order equals apply order equals stream order.
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
+	// Expired detached subscriptions must not cost this batch an
+	// evaluation.
+	s.sweepDetached()
 	if s.opts.Journal != nil {
 		if err := s.opts.Journal.Append(updates); err != nil {
 			err = fmt.Errorf("gateway: journal append: %w", err)
@@ -595,12 +572,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.opts.Metrics.recordIngest(len(updates), err)
 	if err != nil {
 		// A mid-batch failure still applied a prefix; report both, as
-		// the TCP path does.
+		// the shard RPC does.
 		status, code := errStatus(err)
 		writeJSON(w, status, struct {
-			Error   apiError      `json:"error"`
-			Applied []wireApplied `json:"applied,omitempty"`
-		}{apiError{Code: code, Message: err.Error()}, encodeApplied(applied)})
+			Error   apiError                `json:"error"`
+			Applied []modserver.WireApplied `json:"applied,omitempty"`
+		}{apiError{Code: code, Message: err.Error()}, modserver.EncodeApplied(applied)})
 		return
 	}
 	if s.opts.Journal != nil {
@@ -609,38 +586,5 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		_ = s.opts.Journal.AfterApply(s.opts.Store)
 	}
 	s.fanOut(events)
-	writeJSON(w, http.StatusOK, ingestResponse{Applied: encodeApplied(applied)})
-}
-
-func encodeApplied(applied []mod.Applied) []wireApplied {
-	out := make([]wireApplied, len(applied))
-	for i, a := range applied {
-		wa := wireApplied{OID: a.OID, Inserted: a.Inserted}
-		if !a.Inserted {
-			if math.IsInf(a.ChangedFrom, 1) {
-				wa.TagsOnly = true
-			} else {
-				wa.ChangedFrom = a.ChangedFrom
-			}
-		}
-		if a.Traj != nil {
-			wa.Verts = encodeVerts(a.Traj.Verts)
-		}
-		if a.Prev != nil {
-			wa.PrevVerts = encodeVerts(a.Prev.Verts)
-		}
-		wa.TagsChanged = a.TagsChanged
-		wa.Tags = a.Tags
-		wa.PrevTags = a.PrevTags
-		out[i] = wa
-	}
-	return out
-}
-
-func encodeVerts(verts []trajectory.Vertex) [][3]float64 {
-	out := make([][3]float64, len(verts))
-	for i, v := range verts {
-		out[i] = [3]float64{v.X, v.Y, v.T}
-	}
-	return out
+	writeJSON(w, http.StatusOK, ingestResponse{Applied: modserver.EncodeApplied(applied)})
 }

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/modserver"
 	"repro/internal/testcert"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -158,6 +159,14 @@ func startGateway(t testing.TB, opts Options, pair *testcert.Pair) (*Server, str
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, client := serveGateway(t, srv, pair)
+	return srv, base, client
+}
+
+// serveGateway serves an already-built gateway (so a test can adjust its
+// unexported limits first) and returns the base URL plus a client.
+func serveGateway(t testing.TB, srv *Server, pair *testcert.Pair) (string, *http.Client) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +189,7 @@ func startGateway(t testing.TB, opts Options, pair *testcert.Pair) (*Server, str
 		}
 		client.CloseIdleConnections()
 	})
-	return srv, fmt.Sprintf("%s://%s", scheme, l.Addr()), client
+	return fmt.Sprintf("%s://%s", scheme, l.Addr()), client
 }
 
 // postJSON posts body (pre-marshaled or any) and returns status + body.
@@ -507,7 +516,7 @@ func TestBadRequests(t *testing.T) {
 
 	// Ingest/subscribe without a hub answer 501.
 	status, body = postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 1, Verts: [][3]float64{{0, 0, 0}, {1, 1, 1}}}}})
+		ingestRequest{Updates: []modserver.WireTraj{{OID: 1, Verts: [][3]float64{{0, 0, 0}, {1, 1, 1}}}}})
 	if status != http.StatusNotImplemented {
 		t.Fatalf("ingest without hub: status %d, want 501", status)
 	}

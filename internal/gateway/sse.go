@@ -5,8 +5,8 @@ package gateway
 // `event: diff` frames whose `id:` is the subscription sequence number,
 // so a plain EventSource reconnect (Last-Event-ID) — or an explicit
 // sub_id+from_seq pair — resumes the stream across a severed connection
-// with the hub's replay backlog, the same recovery contract as the TCP
-// modserver's detached subscriptions.
+// with the hub's replay backlog. A severed stream's subscription stays
+// resumable for DetachedTTL, and at most MaxDetached are kept.
 
 import (
 	"encoding/json"
@@ -104,6 +104,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resume {
+		s.sweepDetached()
 		s.subsMu.Lock()
 		_, live := s.subscribers[subID]
 		_, parked := s.detached[subID]
@@ -164,7 +165,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer s.opts.Metrics.streamDetached()
 	// On any exit the subscription parks as detached (LRU-bounded) so the
 	// client can resume from its last seen event id.
-	defer s.park(hub, subID, st)
+	defer s.park(subID, st)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -260,40 +261,75 @@ func (s *Server) fanOut(events []continuous.Event) {
 	}
 }
 
+// parkEntry is one detachedOrder entry: a subscription and the park time
+// it was recorded under. An entry whose time no longer matches
+// detached[id] is stale (the subscription was resumed, and maybe parked
+// again later) and is skipped.
+type parkEntry struct {
+	id int64
+	at time.Time
+}
+
 // park deregisters a finished stream and retains its subscription as
-// detached for a from_seq resume, LRU-evicting (and unsubscribing) past
-// MaxDetached. It never closes st.ch — only the fan-out and Shutdown
-// do, under emitMu.
-func (s *Server) park(hub *continuous.Hub, id int64, st *sseStream) {
+// detached for a from_seq resume, expiring (and unsubscribing) the ones
+// past DetachedTTL and LRU-evicting past maxDetached. It never closes
+// st.ch — only the fan-out and Shutdown do, under emitMu.
+func (s *Server) park(id int64, st *sseStream) {
 	s.subsMu.Lock()
 	defer s.subsMu.Unlock()
 	if s.subscribers[id] == st {
 		delete(s.subscribers, id)
 	}
-	if s.opts.MaxDetached < 0 {
-		hub.Unsubscribe(id)
-		return
-	}
-	s.detached[id] = struct{}{}
-	s.detachedOrder = append(s.detachedOrder, id)
-	for len(s.detached) > s.opts.MaxDetached {
-		oldest := s.detachedOrder[0]
-		s.detachedOrder = s.detachedOrder[1:]
-		if _, ok := s.detached[oldest]; ok {
-			delete(s.detached, oldest)
-			hub.Unsubscribe(oldest)
-		}
+	now := s.now()
+	s.sweepDetachedLocked(now)
+	s.detached[id] = now
+	s.detachedOrder = append(s.detachedOrder, parkEntry{id, now})
+	for len(s.detached) > s.maxDetached {
+		s.dropOldestLocked()
 	}
 	// Compact the order slice when stale entries (resumed subscriptions)
 	// dominate it.
 	if len(s.detachedOrder) > 2*len(s.detached)+16 {
 		kept := s.detachedOrder[:0]
-		for _, d := range s.detachedOrder {
-			if _, ok := s.detached[d]; ok {
-				kept = append(kept, d)
+		for _, p := range s.detachedOrder {
+			if at, ok := s.detached[p.id]; ok && at.Equal(p.at) {
+				kept = append(kept, p)
 			}
 		}
 		s.detachedOrder = kept
+	}
+}
+
+// sweepDetached expires every detached subscription parked longer than
+// DetachedTTL.
+func (s *Server) sweepDetached() {
+	s.subsMu.Lock()
+	defer s.subsMu.Unlock()
+	s.sweepDetachedLocked(s.now())
+}
+
+// sweepDetachedLocked walks detachedOrder from the oldest entry and
+// expires until it reaches one parked within DetachedTTL. Caller holds
+// subsMu.
+func (s *Server) sweepDetachedLocked(now time.Time) {
+	for len(s.detachedOrder) > 0 {
+		p := s.detachedOrder[0]
+		if at, ok := s.detached[p.id]; ok && at.Equal(p.at) && now.Sub(at) < DetachedTTL {
+			return
+		}
+		s.dropOldestLocked()
+	}
+}
+
+// dropOldestLocked pops the oldest detachedOrder entry and, unless it is
+// stale, forgets the subscription and unsubscribes it from the hub.
+// Caller holds subsMu.
+func (s *Server) dropOldestLocked() {
+	p := s.detachedOrder[0]
+	s.detachedOrder = s.detachedOrder[1:]
+	if at, ok := s.detached[p.id]; ok && at.Equal(p.at) {
+		delete(s.detached, p.id)
+		s.opts.Hub.Unsubscribe(p.id)
 	}
 }
 

@@ -1,10 +1,10 @@
 package gateway
 
-// SSE parity with the TCP modserver: two identical worlds — one served
-// over the line protocol, one over the HTTP gateway — fed identical
-// ingest batches must deliver identical subscription event sequences,
-// including a from_seq resume across a severed SSE connection. The
-// hub's retained backlog is the oracle for both streams.
+// SSE parity with an in-process hub: two identical worlds — one driven
+// directly through continuous.Hub, one over the HTTP gateway — fed
+// identical ingest batches must deliver identical subscription event
+// sequences, including a from_seq resume across a severed SSE
+// connection. The gateway hub's retained backlog is the oracle for both.
 
 import (
 	"bufio"
@@ -12,10 +12,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,45 +123,27 @@ func hugVerts(tr *trajectory.Trajectory, tMax float64) [][3]float64 {
 	return out
 }
 
-func toUpdates(ws []wireUpdate) []mod.Update {
-	out := make([]mod.Update, len(ws))
-	for i, wu := range ws {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		out[i] = mod.Update{OID: wu.OID, Verts: verts}
-	}
-	return out
-}
-
-// TestSSEParityWithTCP: identical worlds over TCP and HTTP; identical
-// ingests; the answer, applied echoes, and full event sequences must
-// match byte-for-byte (modulo walls) — including resume after a severed
-// SSE connection.
-func TestSSEParityWithTCP(t *testing.T) {
+// TestSSEParityWithHub: identical worlds in-process and over HTTP;
+// identical ingests; the answer, applied echoes, and full event
+// sequences must match byte-for-byte (modulo walls) — including resume
+// after a severed SSE connection.
+func TestSSEParityWithHub(t *testing.T) {
 	const n = 60
 	storeA, trsA := buildStore(t, n, equivSeed)
 	storeB, _ := buildStore(t, n, equivSeed)
 
-	// World A: TCP modserver.
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// World A: the hub driven directly.
+	hubA := newTestHub(t, storeA)
+	var eventsA []continuous.Event
+	ingestA := func(batch []modserver.WireTraj) []mod.Applied {
+		t.Helper()
+		applied, events, err := hubA.Ingest(context.Background(), modserver.DecodeUpdates(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eventsA = append(eventsA, events...)
+		return applied
 	}
-	srvA := modserver.NewServer(storeA)
-	go srvA.Serve(lA)
-	t.Cleanup(func() { srvA.Close() })
-	sub, err := modserver.Dial(lA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	ing, err := modserver.Dial(lA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
 
 	// World B: HTTP gateway.
 	hubB := newTestHub(t, storeB)
@@ -171,7 +154,7 @@ func TestSSEParityWithTCP(t *testing.T) {
 
 	q := trsA[0]
 	stand := engine.Request{Kind: engine.KindUQ31, QueryOID: q.OID, Tb: equivTb, Te: equivTe}
-	_, resA, err := sub.Subscribe(stand)
+	_, resA, err := hubA.Subscribe(context.Background(), stand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +178,13 @@ func TestSSEParityWithTCP(t *testing.T) {
 
 	// Three ingest phases: a shadow insert, its flight away, a second
 	// shadow. Each changes the possible-NN set, so each emits a diff.
-	batches := [][]wireUpdate{
+	batches := [][]modserver.WireTraj{
 		{{OID: 9001, Verts: hugVerts(q, 35)}},
 		{{OID: 9001, Verts: [][3]float64{{1000, 1000, 10}, {1001, 1001, 40}}}},
 		{{OID: 9002, Verts: hugVerts(q, 35)}},
 	}
 	for bi, batch := range batches {
-		appliedA, err := ing.Ingest(toUpdates(batch))
-		if err != nil {
-			t.Fatalf("batch %d tcp ingest: %v", bi, err)
-		}
+		appliedA := ingestA(batch)
 		status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch})
 		if status != http.StatusOK {
 			t.Fatalf("batch %d http ingest: status %d (body %.300s)", bi, status, body)
@@ -213,14 +193,14 @@ func TestSSEParityWithTCP(t *testing.T) {
 		if err := json.Unmarshal(body, &ir); err != nil {
 			t.Fatal(err)
 		}
-		wantApplied, _ := json.Marshal(ingestResponse{Applied: encodeApplied(appliedA)})
+		wantApplied, _ := json.Marshal(ingestResponse{Applied: modserver.EncodeApplied(appliedA)})
 		gotApplied, _ := json.Marshal(ir)
 		if !bytes.Equal(wantApplied, gotApplied) {
 			t.Fatalf("batch %d applied diverged\n got: %s\nwant: %s", bi, gotApplied, wantApplied)
 		}
 	}
 
-	// The hub's retained backlog is the oracle for both streams.
+	// The gateway hub's retained backlog is the oracle for both streams.
 	expected, err := hubB.Replay(idB, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +208,10 @@ func TestSSEParityWithTCP(t *testing.T) {
 	if len(expected) == 0 {
 		t.Fatal("no events retained — the shadow updates missed the subscription")
 	}
+	if len(eventsA) != len(expected) {
+		t.Fatalf("in-process hub emitted %d events, gateway hub retained %d", len(eventsA), len(expected))
+	}
 	for i, want := range expected {
-		evA, err := sub.NextEvent()
-		if err != nil {
-			t.Fatalf("tcp event %d: %v", i, err)
-		}
 		frame := stream.next(t)
 		if frame.event != "diff" {
 			t.Fatalf("sse frame %d event %q", i, frame.event)
@@ -245,24 +224,23 @@ func TestSSEParityWithTCP(t *testing.T) {
 			t.Fatalf("sse frame %d id %q does not match seq %d", i, frame.id, evB.Seq)
 		}
 		cw := canonicalEvent(t, want)
-		if ca := canonicalEvent(t, evA); ca != cw {
-			t.Fatalf("event %d tcp diverged\n got: %s\nwant: %s", i, ca, cw)
+		if ca := canonicalEvent(t, eventsA[i]); ca != cw {
+			t.Fatalf("event %d in-process diverged\n got: %s\nwant: %s", i, ca, cw)
 		}
 		if cb := canonicalEvent(t, evB); cb != cw {
 			t.Fatalf("event %d sse diverged\n got: %s\nwant: %s", i, cb, cw)
 		}
 	}
 	lastSeq := expected[len(expected)-1].Seq
+	eventsA = eventsA[:0]
 
 	// Sever the SSE connection; the subscription must park as detached.
 	stream.close()
 	waitDetached(t, srvB, idB)
 
 	// Events keep flowing server-side while the stream is down...
-	batch4 := []wireUpdate{{OID: 9002, Verts: [][3]float64{{2000, 2000, 5}, {2001, 2001, 40}}}}
-	if _, err := ing.Ingest(toUpdates(batch4)); err != nil {
-		t.Fatal(err)
-	}
+	batch4 := []modserver.WireTraj{{OID: 9002, Verts: [][3]float64{{2000, 2000, 5}, {2001, 2001, 40}}}}
+	ingestA(batch4)
 	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch4}); status != http.StatusOK {
 		t.Fatalf("batch4 http ingest: status %d (body %.300s)", status, body)
 	}
@@ -283,10 +261,8 @@ func TestSSEParityWithTCP(t *testing.T) {
 		t.Fatalf("resume sub id %d, want %d", rehello.SubID, idB)
 	}
 
-	batch5 := []wireUpdate{{OID: 9003, Verts: hugVerts(q, 35)}}
-	if _, err := ing.Ingest(toUpdates(batch5)); err != nil {
-		t.Fatal(err)
-	}
+	batch5 := []modserver.WireTraj{{OID: 9003, Verts: hugVerts(q, 35)}}
+	ingestA(batch5)
 	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch5}); status != http.StatusOK {
 		t.Fatalf("batch5 http ingest: status %d (body %.300s)", status, body)
 	}
@@ -295,22 +271,18 @@ func TestSSEParityWithTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) < 2 {
-		t.Fatalf("expected replayed + live events after resume, got %d", len(tail))
+	if len(tail) < 2 || len(eventsA) != len(tail) {
+		t.Fatalf("expected replayed + live events after resume: gateway %d, in-process %d", len(tail), len(eventsA))
 	}
 	for i, want := range tail {
-		evA, err := sub.NextEvent()
-		if err != nil {
-			t.Fatalf("tcp tail event %d: %v", i, err)
-		}
 		frame := resumed.next(t)
 		var evB continuous.Event
 		if err := json.Unmarshal(frame.data, &evB); err != nil {
 			t.Fatal(err)
 		}
 		cw := canonicalEvent(t, want)
-		if ca := canonicalEvent(t, evA); ca != cw {
-			t.Fatalf("tail event %d tcp diverged\n got: %s\nwant: %s", i, ca, cw)
+		if ca := canonicalEvent(t, eventsA[i]); ca != cw {
+			t.Fatalf("tail event %d in-process diverged\n got: %s\nwant: %s", i, ca, cw)
 		}
 		if cb := canonicalEvent(t, evB); cb != cw {
 			t.Fatalf("tail event %d sse diverged\n got: %s\nwant: %s", i, cb, cw)
@@ -387,7 +359,7 @@ func TestResumeValidation(t *testing.T) {
 	// replay is a gap — 410.
 	stream.close()
 	waitDetached(t, srv, sub.SubID)
-	upd := []wireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}
+	upd := []modserver.WireTraj{{OID: 9001, Verts: hugVerts(q, 35)}}
 	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: upd}); status != http.StatusOK {
 		t.Fatalf("ingest: status %d (body %.300s)", status, body)
 	}
@@ -434,7 +406,7 @@ func TestLastEventIDResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status, body := postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}}); status != http.StatusOK {
+		ingestRequest{Updates: []modserver.WireTraj{{OID: 9001, Verts: hugVerts(q, 35)}}}); status != http.StatusOK {
 		t.Fatalf("ingest: status %d (body %.300s)", status, body)
 	}
 	ev := stream.next(t)
@@ -442,7 +414,7 @@ func TestLastEventIDResume(t *testing.T) {
 	waitDetached(t, srv, sub.SubID)
 
 	if status, body := postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 9001, Verts: [][3]float64{{500, 500, 5}, {501, 501, 40}}}}}); status != http.StatusOK {
+		ingestRequest{Updates: []modserver.WireTraj{{OID: 9001, Verts: [][3]float64{{500, 500, 5}, {501, 501, 40}}}}}); status != http.StatusOK {
 		t.Fatalf("ingest 2: status %d (body %.300s)", status, body)
 	}
 
@@ -531,16 +503,17 @@ func contains(ids []int64, id int64) bool {
 	return false
 }
 
-// TestDetachedLRUEviction: past MaxDetached parked subscriptions, the
-// oldest is evicted and unsubscribed from the hub.
+// TestDetachedLRUEviction: past the detached bound, the oldest parked
+// subscription is evicted and unsubscribed from the hub.
 func TestDetachedLRUEviction(t *testing.T) {
 	store, trs := buildStore(t, 20, equivSeed)
 	hub := newTestHub(t, store)
-	srv, base, client := startGateway(t, Options{
-		Backend:     EngineBackend{Eng: engine.New(0), Store: store},
-		Hub:         hub,
-		MaxDetached: 2,
-	}, nil)
+	srv, err := New(Options{Backend: EngineBackend{Eng: engine.New(0), Store: store}, Hub: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.maxDetached = 2
+	base, client := serveGateway(t, srv, nil)
 
 	q := trs[0]
 	var ids []int64
@@ -567,6 +540,78 @@ func TestDetachedLRUEviction(t *testing.T) {
 		if !contains(hub.Subscriptions(), id) {
 			t.Fatalf("retained subscription %d missing from the hub", id)
 		}
+	}
+}
+
+// steppedClock is a manually advanced clock for the detached TTL.
+type steppedClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *steppedClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *steppedClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// TestDetachedSubscriptionExpires: a parked subscription past DetachedTTL
+// is unsubscribed from the hub even when the only activity is an ingest,
+// so it stops costing an evaluation per batch; a later resume of it
+// answers 404 not_found.
+func TestDetachedSubscriptionExpires(t *testing.T) {
+	store, trs := buildStore(t, 20, equivSeed)
+	hub := newTestHub(t, store)
+	srv, err := New(Options{Backend: EngineBackend{Eng: engine.New(0), Store: store}, Hub: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := &steppedClock{t: time.Unix(1000, 0)}
+	srv.now = clock.now
+	base, client := serveGateway(t, srv, nil)
+
+	q := trs[0]
+	stream := openSSE(t, client, fmt.Sprintf("%s/v1/subscribe?kind=UQ31&query_oid=%d&tb=0&te=30", base, q.OID), "")
+	var sub subscribedEvent
+	if err := json.Unmarshal(stream.next(t).data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	stream.close()
+	waitDetached(t, srv, sub.SubID)
+
+	ingest := func(oid int64) {
+		t.Helper()
+		upd := []modserver.WireTraj{{OID: oid, Verts: [][3]float64{{500, 500, 5}, {501, 501, 40}}}}
+		if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: upd}); status != http.StatusOK {
+			t.Fatalf("ingest: status %d (body %.300s)", status, body)
+		}
+	}
+	// Within the TTL the parked subscription stays in the hub.
+	clock.advance(DetachedTTL - time.Second)
+	ingest(9001)
+	if !contains(hub.Subscriptions(), sub.SubID) {
+		t.Fatalf("subscription %d expired before the TTL", sub.SubID)
+	}
+	// Past the TTL an ingest alone expires it.
+	clock.advance(2 * time.Second)
+	ingest(9002)
+	if got := hub.Subscriptions(); len(got) != 0 {
+		t.Fatalf("expired subscription still in the hub: %v", got)
+	}
+	resp, err := client.Get(fmt.Sprintf("%s/v1/subscribe?sub_id=%d&from_seq=0", base, sub.SubID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || decodeAPIError(t, body).Code != "not_found" {
+		t.Fatalf("resume of expired subscription: status %d body %s", resp.StatusCode, body)
 	}
 }
 

@@ -1,9 +1,8 @@
 package modserver
 
 // Transport-security and drain tests: the static-token auth gate, TLS
-// serving with the typed plaintext-dial error, context-error identity
-// across the wire (the gateway's 504 mapping depends on it), and the
-// graceful Shutdown drain.
+// serving with the typed plaintext-dial error, and the graceful Shutdown
+// drain.
 
 import (
 	"context"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/testcert"
 )
@@ -44,56 +42,51 @@ func startTokenServer(t *testing.T, store *mod.Store, token string, tlsPair *tes
 // TestTokenAuthGatesOps: every op on a token-protected server is refused
 // with the ErrUnauthorized identity until the connection authenticates;
 // a wrong token is refused the same way at dial time; the right token
-// unlocks the full protocol including subscriptions.
+// unlocks the full shard protocol.
 func TestTokenAuthGatesOps(t *testing.T) {
 	store := seededStore(t, 20)
 	_, addr := startTokenServer(t, store, "s3cret", nil)
-
-	// Unauthenticated ops: refused and the connection closed.
-	c, err := Dial(addr)
+	q, err := store.Get(store.OIDs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("unauthenticated ping: %v, want ErrUnauthorized", err)
+
+	// Unauthenticated ops: refused and the connection closed.
+	c, err := dialWith(addr, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Count(); !errors.Is(err, ErrUnauthorized) {
+		t.Fatalf("unauthenticated count: %v, want ErrUnauthorized", err)
 	}
 	c.Close()
 
-	// A subscribe attempt is gated too (the stream never starts).
-	c, err = Dial(addr)
+	// A query phase is gated too.
+	c, err = dialWith(addr, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	qOID := store.OIDs()[0]
-	if _, _, err := c.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("unauthenticated subscribe: %v, want ErrUnauthorized", err)
+	if _, err := c.ShardBounds(q, 0, 60, 1, nil, 0); !errors.Is(err, ErrUnauthorized) {
+		t.Fatalf("unauthenticated bounds: %v, want ErrUnauthorized", err)
 	}
 	c.Close()
 
 	// Wrong token: the dial itself fails typed.
-	if _, err := DialWith(addr, DialOptions{Token: "wrong"}); !errors.Is(err, ErrUnauthorized) {
+	if _, err := dialWith(addr, nil, "wrong"); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong-token dial: %v, want ErrUnauthorized", err)
 	}
 
-	// Right token: the whole protocol works on the authed connection.
-	c, err = DialWith(addr, DialOptions{Token: "s3cret"})
+	// Right token: the shard protocol works on the authed connection.
+	c, err = dialWith(addr, nil, "s3cret")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("authed ping: %v", err)
+	if n, err := c.Count(); err != nil || n != 20 {
+		t.Fatalf("authed count: %d, %v", n, err)
 	}
-	res, err := c.Query([]engine.Request{{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}}, 0)
-	if err != nil || res[0].Err != nil {
-		t.Fatalf("authed query: %v / %v", err, res[0].Err)
-	}
-	id, _, err := c.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60})
-	if err != nil {
-		t.Fatalf("authed subscribe: %v", err)
-	}
-	if err := c.Unsubscribe(id); err != nil {
-		t.Fatalf("authed unsubscribe: %v", err)
+	if _, err := c.ShardBounds(q, 0, 60, 1, nil, 0); err != nil {
+		t.Fatalf("authed bounds: %v", err)
 	}
 }
 
@@ -102,17 +95,17 @@ func TestTokenAuthGatesOps(t *testing.T) {
 func TestNoTokenServerAcceptsAuth(t *testing.T) {
 	store := seededStore(t, 5)
 	_, addr := startServer(t, store)
-	c, err := DialWith(addr, DialOptions{Token: "anything"})
+	c, err := dialWith(addr, nil, "anything")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if _, err := c.Count(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTLSServingAndPlaintextTyped: a TLS+token server serves the full
+// TestTLSServingAndPlaintextTyped: a TLS+token server serves the shard
 // protocol to a properly configured client, and a plaintext dial against
 // it fails with the ErrTLSRequired identity (the server answers the
 // confused client in plaintext) rather than a JSON syntax error or a
@@ -125,112 +118,84 @@ func TestTLSServingAndPlaintextTyped(t *testing.T) {
 	store := seededStore(t, 20)
 	_, addr := startTokenServer(t, store, "s3cret", &pair)
 
-	c, err := DialWith(addr, DialOptions{TLS: pair.ClientConfig(), Token: "s3cret"})
+	c, err := dialWith(addr, pair.ClientConfig(), "s3cret")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	qOID := store.OIDs()[0]
-	res, err := c.Query([]engine.Request{{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}}, 0)
-	if err != nil || res[0].Err != nil {
-		t.Fatalf("TLS query: %v / %v", err, res[0].Err)
+	q, err := store.Get(store.OIDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ShardBounds(q, 0, 60, 1, nil, 0); err != nil {
+		t.Fatalf("TLS bounds: %v", err)
 	}
 
 	// Plaintext against TLS: typed refusal.
-	pc, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	if err := pc.Ping(); !errors.Is(err, ErrTLSRequired) {
-		t.Fatalf("plaintext ping against TLS server: %v, want ErrTLSRequired", err)
+	pc := mustDial(t, addr)
+	if _, err := pc.Count(); !errors.Is(err, ErrTLSRequired) {
+		t.Fatalf("plaintext count against TLS server: %v, want ErrTLSRequired", err)
 	}
 }
 
-// TestDeadlineIdentityOverWire: a server-side deadline expiry keeps its
-// context.DeadlineExceeded identity at the client — the regression the
-// HTTP layer's 504 mapping rides on (it used to arrive as a generic
-// string).
-func TestDeadlineIdentityOverWire(t *testing.T) {
-	store := seededStore(t, 400)
-	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Enough distinct (query, window) pairs that every request pays a
-	// fresh O(N) preprocessing: far beyond a 1 ms deadline at N=400.
-	oids := store.OIDs()
-	var reqs []engine.Request
-	for i := 0; i < 64; i++ {
-		reqs = append(reqs, engine.Request{
-			Kind: engine.KindUQ31, QueryOID: oids[i], Tb: 0, Te: 30 + float64(i)/100,
-		})
-	}
-	if _, err := c.Query(reqs, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("query deadline identity: %v, want context.DeadlineExceeded", err)
-	}
-
-	// The connection survives the coded failure.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping after coded deadline: %v", err)
-	}
+// blockingJournal parks every Append until release is closed, so a test
+// can hold an ingest in flight deterministically.
+type blockingJournal struct {
+	entered chan struct{}
+	release chan struct{}
 }
 
-// TestShutdownDrains: Shutdown lets an in-flight query finish and reply,
-// then disconnects the drained connections; afterwards the listener is
-// closed and new work is refused.
+func (j *blockingJournal) Append([]mod.Update) error {
+	j.entered <- struct{}{}
+	<-j.release
+	return nil
+}
+
+func (j *blockingJournal) AfterApply(*mod.Store) error { return nil }
+
+// TestShutdownDrains: Shutdown lets an in-flight request finish and
+// reply, then disconnects the drained connections; afterwards the
+// listener is closed and new work is refused.
 func TestShutdownDrains(t *testing.T) {
-	store := seededStore(t, 400)
-	srv, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	store := liveStore(t)
+	j := &blockingJournal{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv, addr := startServerWith(t, store, Options{Journal: j})
+	c := mustDial(t, addr)
 
-	// A batch heavy enough to still be evaluating when Shutdown lands.
-	oids := store.OIDs()
-	var reqs []engine.Request
-	for i := 0; i < 32; i++ {
-		reqs = append(reqs, engine.Request{
-			Kind: engine.KindUQ31, QueryOID: oids[i], Tb: 0, Te: 30 + float64(i)/100,
-		})
-	}
 	type reply struct {
-		res []engine.Result
-		err error
+		applied []mod.Applied
+		err     error
 	}
 	got := make(chan reply, 1)
 	go func() {
-		res, err := c.Query(reqs, 0)
-		got <- reply{res, err}
+		applied, err := c.Ingest([]mod.Update{flipUpdate(true)})
+		got <- reply{applied, err}
 	}()
-	// Give the server a moment to read the request line so the drain has
-	// an in-flight request to preserve (not just an idle connection).
-	time.Sleep(50 * time.Millisecond)
+	<-j.entered // the ingest is in flight, parked in the journal
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(ctx) }()
+	// The drain must wait for the in-flight request.
+	select {
+	case err := <-drained:
+		t.Fatalf("shutdown returned with a request in flight: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(j.release)
+	r := <-got
+	if r.err != nil || len(r.applied) != 1 {
+		t.Fatalf("in-flight ingest severed by shutdown: %+v, %v", r.applied, r.err)
+	}
+	if err := <-drained; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	r := <-got
-	if r.err != nil {
-		t.Fatalf("in-flight query severed by shutdown: %v", r.err)
-	}
-	for i, res := range r.res {
-		if res.Err != nil {
-			t.Fatalf("in-flight result %d: %v", i, res.Err)
-		}
-	}
 	// The connection was drained and closed; new requests fail.
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping succeeded after shutdown")
+	if _, err := c.Count(); err == nil {
+		t.Fatal("count succeeded after shutdown")
 	}
 	// The listener is closed too.
-	if _, err := Dial(addr); err == nil {
+	if _, err := dialWith(addr, nil, ""); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 }

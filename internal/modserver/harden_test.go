@@ -80,14 +80,10 @@ func TestStalledConnectionDisconnected(t *testing.T) {
 // well past ReadTimeout.
 func TestActiveConnectionOutlivesReadTimeout(t *testing.T) {
 	addr := startTCPServer(t, testStore(t, 3), Options{ReadTimeout: 80 * time.Millisecond})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := mustDial(t, addr)
 	deadline := time.Now().Add(400 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if err := cli.Ping(); err != nil {
+		if _, err := cli.Count(); err != nil {
 			t.Fatalf("live connection dropped: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -104,7 +100,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	big := `{"op":"ping","query":"` + strings.Repeat("x", 1024) + "\"}\n"
+	big := `{"op":"get","token":"` + strings.Repeat("x", 1024) + "\"}\n"
 	if _, err := conn.Write([]byte(big)); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +124,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 func TestShardPhasesRoundTrip(t *testing.T) {
 	store := testStore(t, 80)
 	addr := startTCPServer(t, store, Options{})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := mustDial(t, addr)
 
 	q, err := store.Get(1)
 	if err != nil {
@@ -199,19 +191,16 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 }
 
 // TestNotFoundCrossesWire pins the coded error identity: a missing OID is
-// errors.Is(err, mod.ErrNotFound) on the client side, which the cluster
-// router's point-lookup broadcast depends on.
+// errors.Is(err, mod.ErrNotFound) on the client side — for a get, which
+// the cluster router's point-lookup broadcast depends on, and for the
+// retirement of an absent object.
 func TestNotFoundCrossesWire(t *testing.T) {
 	addr := startTCPServer(t, testStore(t, 3), Options{})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Get(999); !errors.Is(err, mod.ErrNotFound) {
+	cli := mustDial(t, addr)
+	if _, _, err := cli.GetTagged(999); !errors.Is(err, mod.ErrNotFound) {
 		t.Fatalf("remote get of missing OID: %v, want mod.ErrNotFound identity", err)
 	}
-	if err := cli.Delete(999); !errors.Is(err, mod.ErrNotFound) {
-		t.Fatalf("remote delete of missing OID: %v, want mod.ErrNotFound identity", err)
+	if _, err := cli.Ingest([]mod.Update{{OID: 999, Retire: true}}); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("remote retire of missing OID: %v, want mod.ErrNotFound identity", err)
 	}
 }

@@ -2,18 +2,17 @@ package modserver
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"repro/internal/geom"
+	"repro/internal/mod"
 	"repro/internal/trajectory"
 	"repro/internal/wal"
 )
 
 // TestJournaledServerRecovers wires a WAL journal under a live server,
-// mutates through every durable op (ingest, insert, trip), then recovers
-// the directory and demands the byte-identical store — the contract the
-// -wal-dir flag rides on.
+// mutates through the ingest op — revisions, an insert, tag flips and a
+// retirement — then recovers the directory and demands the byte-identical
+// store: the contract the -wal-dir flag rides on.
 func TestJournaledServerRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st := liveStore(t)
@@ -23,34 +22,21 @@ func TestJournaledServerRecovers(t *testing.T) {
 	}
 	defer log.Close()
 
-	srv, addr := startServerWith(t, st, Options{Journal: log})
-	_ = srv
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	_, addr := startServerWith(t, st, Options{Journal: log})
+	cli := mustDial(t, addr)
 
 	for i := 0; i < 3; i++ {
 		mustFlip(t, cli, i)
 	}
-	ntr, err := trajectory.New(77, []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Insert(ntr); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate insert is rejected before it ever reaches the journal.
-	if err := cli.Insert(ntr); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate insert: %v", err)
-	}
-	if _, err := cli.PlanTrip(78, []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Delete would mutate outside the journal; it must be refused.
-	if err := cli.Delete(77); err == nil {
-		t.Fatal("journaled server accepted a delete")
+	avail, none := []string{"available"}, []string{}
+	for _, batch := range [][]mod.Update{
+		{{OID: 77, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 5}}, Tags: &avail}},
+		{{OID: 2, Tags: &avail}, {OID: 77, Tags: &none}},
+		{{OID: 4, Retire: true}},
+	} {
+		if _, err := cli.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var live bytes.Buffer
@@ -74,7 +60,10 @@ func TestJournaledServerRecovers(t *testing.T) {
 	if _, err := recovered.Get(77); err != nil {
 		t.Fatalf("inserted object lost in recovery: %v", err)
 	}
-	if _, err := recovered.Get(78); err != nil {
-		t.Fatalf("trip object lost in recovery: %v", err)
+	if _, err := recovered.Get(4); err == nil {
+		t.Fatal("retired object resurrected by recovery")
+	}
+	if tags := recovered.Tags(2); len(tags) != 1 || tags[0] != "available" {
+		t.Fatalf("tag flip lost in recovery: %v", tags)
 	}
 }

@@ -2,13 +2,8 @@ package modserver
 
 import (
 	"errors"
-	"math"
-	"net"
-	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
 )
@@ -37,260 +32,23 @@ func liveStore(t *testing.T) *mod.Store {
 	return st
 }
 
-// TestIngestSubscribeOverWire drives the live ops end to end over TCP:
-// one connection subscribes, another ingests, and the subscriber's event
-// stream carries the diffs in order with monotone sequence numbers.
-func TestIngestSubscribeOverWire(t *testing.T) {
-	st := liveStore(t)
-	_, addr := startServer(t, st)
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+// flipUpdate alternately steers object 3 next to / away from query
+// object 1 (a revision from t=6 or t=5.5 respectively).
+func flipUpdate(near bool) mod.Update {
+	if near {
+		return mod.Update{OID: 3, Verts: []trajectory.Vertex{
+			{X: 6, Y: 1, T: 6}, {X: 8, Y: 0.5, T: 8}, {X: 10, Y: 0.5, T: 10},
+		}}
 	}
-	defer subCli.Close()
-	ingCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ingCli.Close()
-
-	req := engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}
-	subID, initial, err := subCli.Subscribe(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(initial.OIDs, []int64{2}) {
-		t.Fatalf("initial answer = %+v", initial)
-	}
-
-	// Ingest from the other connection: revision steering object 3 in.
-	applied, err := ingCli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
-		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(applied) != 1 || applied[0].Inserted || applied[0].ChangedFrom != 5 ||
-		applied[0].Traj == nil || applied[0].Prev == nil {
-		t.Fatalf("applied = %+v", applied)
-	}
-	if len(applied[0].Traj.Verts) != 8 || len(applied[0].Prev.Verts) != 11 {
-		t.Fatalf("wire trajectories: new %d verts, prev %d verts",
-			len(applied[0].Traj.Verts), len(applied[0].Prev.Verts))
-	}
-
-	ev, err := subCli.NextEvent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.SubID != subID || ev.Seq != 1 || !reflect.DeepEqual(ev.Added, []int64{3}) ||
-		!reflect.DeepEqual(ev.OIDs, []int64{2, 3}) {
-		t.Fatalf("event = %+v", ev)
-	}
-
-	// An insert via the wire: ChangedFrom must round-trip as -Inf.
-	applied, err = ingCli.Ingest([]mod.Update{{OID: 10, Verts: []trajectory.Vertex{
-		{X: 0, Y: 0.5, T: 0}, {X: 10, Y: 0.5, T: 10},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !applied[0].Inserted || !math.IsInf(applied[0].ChangedFrom, -1) {
-		t.Fatalf("insert outcome = %+v", applied[0])
-	}
-	ev, err = subCli.NextEvent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Seq != 2 || !reflect.DeepEqual(ev.Added, []int64{10}) {
-		t.Fatalf("second event = %+v", ev)
-	}
-
-	// An irrelevant far revision produces no event; the next relevant one
-	// carries Seq 3 (no gaps, nothing skipped on the wire).
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 4, Verts: []trajectory.Vertex{
-		{X: 7, Y: 99, T: 7}, {X: 10, Y: 99, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
+	return mod.Update{OID: 3, Verts: []trajectory.Vertex{
 		{X: 6, Y: 80, T: 5.5}, {X: 10, Y: 80, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	ev, err = subCli.NextEvent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Seq != 3 || !reflect.DeepEqual(ev.Removed, []int64{3}) || !reflect.DeepEqual(ev.OIDs, []int64{2, 10}) {
-		t.Fatalf("third event = %+v", ev)
-	}
-
-	// Only the owning connection may unsubscribe.
-	if err := ingCli.Unsubscribe(subID); err == nil {
-		t.Fatal("foreign connection unsubscribed someone else's stream")
-	}
-	// Unsubscribe stops the stream: a further relevant ingest emits
-	// nothing for this subscription.
-	if err := subCli.Unsubscribe(subID); err != nil {
-		t.Fatal(err)
-	}
-	if err := subCli.Unsubscribe(subID); err == nil {
-		t.Fatal("double unsubscribe succeeded")
-	}
-
-	// A bad ingest surfaces its error.
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 77, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 1}}}}); err == nil {
-		t.Fatal("short insert accepted over the wire")
-	}
+	}}
 }
 
-// TestSubscribeSameConnIngest exercises the single-connection flow: the
-// ingest reply and the event both travel to the same client, which must
-// route them apart.
-func TestSubscribeSameConnIngest(t *testing.T) {
-	st := liveStore(t)
-	_, addr := startServer(t, st)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	req := engine.Request{Kind: engine.KindUQ11, QueryOID: 1, Tb: 0, Te: 10, OID: 3}
-	subID, initial, err := cli.Subscribe(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if initial.Bool || !initial.IsBool {
-		t.Fatalf("initial = %+v", initial)
-	}
-	if _, err := cli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
-		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := cli.NextEvent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.SubID != subID || !ev.IsBool || !ev.Bool {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
-// TestSubscriberDisconnectCleansUp pins the teardown path: a subscriber
-// that drops its connection is detached — retained in the hub for a
-// later Resume — and ingests keep flowing for everyone else. With
-// detached retention disabled (MaxDetached < 0) the subscription is
-// reaped outright, restoring the old fire-and-forget teardown.
-func TestSubscriberDisconnectCleansUp(t *testing.T) {
-	st := liveStore(t)
-	srv, addr := startServer(t, st)
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subID, _, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subCli.Close()
-
-	// The server notices the closed connection on its read loop and moves
-	// the subscription to the detached set. Poll until it lands there.
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.isDetached(subID) {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscription %d not detached after disconnect", subID)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := srv.Hub().Subscriptions(); len(got) != 1 {
-		t.Fatalf("detached subscription should stay registered, hub has %v", got)
-	}
-
-	ingCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ingCli.Close()
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
-		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubscriberDisconnectReapedWithoutRetention covers the MaxDetached<0
-// configuration: disconnect unregisters the subscription from the hub.
-func TestSubscriberDisconnectReapedWithoutRetention(t *testing.T) {
-	st := liveStore(t)
-	srv, addr := startServerWith(t, st, Options{MaxDetached: -1})
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}); err != nil {
-		t.Fatal(err)
-	}
-	subCli.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.Hub().Subscriptions()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscription still live after disconnect: %v", srv.Hub().Subscriptions())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestIdleSubscriberSurvivesReadTimeout pins the deadline exemption: a
-// connection that owns a subscription is a pure event listener and must
-// not be reaped for sending no request lines, even with an aggressive
-// read timeout.
-func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
-	st := liveStore(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerWith(st, nil, Options{ReadTimeout: 50 * time.Millisecond})
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(l) }()
-	t.Cleanup(func() { srv.Close(); <-done })
-
-	subCli, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer subCli.Close()
-	subID, _, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sit well past the read timeout without sending anything.
-	time.Sleep(250 * time.Millisecond)
-
-	ingCli, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ingCli.Close()
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
-		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := subCli.NextEvent()
-	if err != nil {
-		t.Fatalf("idle subscriber was reaped: %v", err)
-	}
-	if ev.SubID != subID || ev.Seq != 1 {
-		t.Fatalf("event = %+v", ev)
+func mustFlip(t *testing.T, cli *Client, i int) {
+	t.Helper()
+	if _, err := cli.Ingest([]mod.Update{flipUpdate(i%2 == 0)}); err != nil {
+		t.Fatalf("flip %d: %v", i, err)
 	}
 }
 
@@ -299,14 +57,10 @@ func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
 func TestIngestErrorIdentity(t *testing.T) {
 	st := liveStore(t)
 	_, addr := startServer(t, st)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := mustDial(t, addr)
 
 	// Stale revision: first vertex precedes the whole plan.
-	_, err = cli.Ingest([]mod.Update{{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: -5}}}})
+	_, err := cli.Ingest([]mod.Update{{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: -5}}}})
 	if err == nil {
 		t.Fatal("stale revision accepted")
 	}

@@ -1,32 +1,27 @@
-// Package modserver exposes a mod.Store over TCP with a line-delimited
-// JSON protocol, plus a matching client. It is the network substrate of
-// the MOD (Section 1 of the paper: users submit trips to the server and
-// pose continuous probabilistic NN queries against it).
+// Package modserver is the cluster shard RPC: it serves one partition of
+// the MOD over TCP with a line-delimited JSON protocol, plus the matching
+// client that cluster.RemoteShard drives. Clients of the system do not
+// speak it — they use the HTTP gateway (internal/gateway), which reaches
+// shards through the cluster router.
 //
 // Protocol: one JSON object per line in each direction.
 //
 //	request  := {"op": "...", ...}
-//	response := {"ok": bool, "error": string?, ...}
+//	response := {"ok": bool, "error": string?, "code": string?, ...}
 //
 // Operations:
 //
-//	{"op":"ping"}                                  → {"ok":true}
+//	{"op":"auth","token":"..."}                    → {"ok":true}
 //	{"op":"count"}                                 → {"ok":true,"count":N}
-//	{"op":"spec"}                                  → {"ok":true,"spec":{...}}
-//	{"op":"insert","oid":1,"verts":[[x,y,t],...]}  → {"ok":true}
-//	{"op":"get","oid":1}                           → {"ok":true,"oid":1,"verts":[...]}
-//	{"op":"delete","oid":1}                        → {"ok":true}
-//	{"op":"uql","query":"SELECT ..."}              → {"ok":true,"bool":b} or {"ok":true,"oids":[...]}
-//	{"op":"batch","queries":["SELECT ...", ...]}   → {"ok":true,"results":[{"ok":true,"bool":b}|{"ok":true,"oids":[...]}|{"error":"..."},...]}
-//	{"op":"query","requests":[{"kind":"UQ31",
-//	 "query_oid":1,"tb":0,"te":60}, ...],
-//	 "deadline_ms":500}                            → {"ok":true,"answers":[{"ok":true,"oids":[...],"explain":{...}},...]}
-//	{"op":"trip","oid":9,"waypoints":[[x,y],...],
-//	 "start":0,"speed":0.5}                        → {"ok":true,"oid":9,"verts":[...]} (plans and inserts)
+//	{"op":"spec"}                                  → {"ok":true,"spec":{...},"max_line":N}
+//	{"op":"get","oid":1}                           → {"ok":true,"oid":1,"verts":[...],"tags":[...]}
+//	{"op":"owns","oids":[1,2]}                     → {"ok":true,"owned":[true,false]}
+//	{"op":"ingest","updates":[{"oid":1,
+//	 "verts":[[x,y,t],...],"tags":[...]},
+//	 {"oid":2,"retire":true}]}                     → {"ok":true,"applied":[...]}
 //
-// Shard-serving phases of the query op (the cluster bound-exchange and
-// distributed-refine protocol; +Inf bounds travel as -1 since JSON has no
-// Inf literal):
+// Query phases (the cluster bound-exchange and distributed-refine
+// protocol; +Inf bounds travel as -1 since JSON has no Inf literal):
 //
 //	{"op":"query","phase":"bounds","oid":1,
 //	 "verts":[[x,y,t],...],"tb":0,"te":60,"k":1}   → {"ok":true,"bounds":[...]}
@@ -36,13 +31,18 @@
 //	{"op":"query","phase":"all"}                   → same streamed framing, no stats
 //	{"op":"query","phase":"oids"}                  → {"ok":true,"oids":[...]}
 //	{"op":"query","phase":"refine","gather_id":"g",
-//	 "oids":[own...],"request":{...}}              → {"ok":true,"answer":{...}} or
+//	 "oids":[own...],"request":{...}}              → {"ok":true,"oids":[...],"explain":{...}} or
 //	                                                 {"error":"...","code":"unknown_gather"}
 //	{"op":"query","phase":"gather","gather_id":"g",
 //	 "more":true,"trajs":[chunk]}                  → (no response; accumulates)
 //	{"op":"query","phase":"gather","gather_id":"g",
 //	 "trajs":[last chunk],"oids":[own...],
-//	 "request":{...}}                              → {"ok":true,"answer":{...}} (caches + refines)
+//	 "request":{...}}                              → {"ok":true,"oids":[...],"explain":{...}} (caches + refines)
+//
+// The bounds, survivors and refine phases take an optional "deadline_ms"
+// (> 0) that bounds their evaluation with a context deadline; an expiry
+// fails the phase with the coded deadline_exceeded error. Any other op or
+// phase gets the coded unknown_op error and the connection keeps serving.
 //
 // The survivors and all phases stream their trajectory sets as incremental
 // frames — each line stays within the server's request-line cap (advertised
@@ -54,15 +54,6 @@
 // a few unions per connection, and each refine evaluates a whole-MOD filter
 // over the cached union with the candidate domain restricted to the
 // shard's own survivors (engine.DoRestricted).
-//
-// The query op is the unified route: it carries engine.Request descriptors
-// verbatim on the wire, evaluates them through Engine.DoBatch, and returns
-// one answer per request with its Explain provenance. deadline_ms (> 0)
-// bounds the whole batch with a context deadline honored inside the worker
-// pool and the preprocessing — an expired deadline fails the op with a
-// context error instead of hogging the server. The uql and batch ops are
-// thin adapters over the same engine route: statements compile to Requests
-// where possible, so they share the memoized preprocessing with query ops.
 package modserver
 
 import (
@@ -78,14 +69,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/continuous"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/prune"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
-	"repro/internal/uql"
 )
 
 // MaxLine bounds a single protocol line (1 MiB) to keep rogue clients from
@@ -98,15 +86,10 @@ const MaxLine = 1 << 20
 // scanner buffer) for at most this long.
 const DefaultReadTimeout = 2 * time.Minute
 
-// DefaultWriteTimeout bounds one asynchronous subscription-event write
-// and one frame of a streamed reply. The ingest op fans events out to
-// other connections while holding the emission lock, so a subscriber that
-// stops reading must fail fast (and be disconnected) instead of wedging
-// every ingest behind its full TCP buffer — the write-side twin of the
-// read-deadline hardening. Streamed survivors/all frames get the same
-// per-frame deadline: a reader that stalls mid-stream is severed instead
-// of pinning the connection goroutine. Single-line request replies stay
-// exempt: modest replies on slow links are legitimate.
+// DefaultWriteTimeout bounds one frame of a streamed survivors/all reply:
+// a reader that stalls mid-stream is severed instead of pinning the
+// connection goroutine on a full TCP buffer. Single-line request replies
+// stay exempt: modest replies on slow links are legitimate.
 const DefaultWriteTimeout = 10 * time.Second
 
 // ErrServerClosed is returned by Serve after Close.
@@ -118,22 +101,10 @@ var ErrServerClosed = errors.New("modserver: server closed")
 // transient.
 var ErrConnClosed = errors.New("modserver: connection closed")
 
-// ErrEventStalled reports the server-side severance of a subscription
-// stream: an event write missed the per-event deadline, so the server
-// closed the connection after a best-effort coded notice. Distinguishes
-// "you read too slowly" from a server crash.
-var ErrEventStalled = errors.New("modserver: subscription severed: event write stalled")
-
 // ErrUnauthorized reports a token-protected server rejecting a request:
 // the connection never authenticated (or presented the wrong token), so
 // the server refused the op and closed the connection. Matches across
 // the wire via the coded error.
-// ErrSubExpired is the client-side identity of the codeSubExpired
-// rejection: the subscription sat detached past the server's DetachedTTL
-// and was expired — its backlog is gone, so resume is impossible and the
-// client must take a fresh Subscribe.
-var ErrSubExpired = errors.New("modserver: detached subscription expired")
-
 var ErrUnauthorized = errors.New("modserver: unauthorized")
 
 // ErrTLSRequired reports a plaintext client talking to a TLS server: the
@@ -147,22 +118,6 @@ var ErrTLSRequired = errors.New("modserver: server requires TLS")
 // (the cluster router routes on it when resolving point lookups).
 const codeNotFound = "not_found"
 
-// codeEventGap marks a subscribe-resume whose from_seq has been truncated
-// out of the hub's bounded backlog (continuous.ErrEventGap across the
-// wire).
-const codeEventGap = "event_gap"
-
-// codeEventStalled marks the parting line the server writes before
-// severing a subscriber whose event stream stalled (ErrEventStalled
-// across the wire).
-const codeEventStalled = "event_stalled"
-
-// codeSubExpired marks a from_seq resume of a subscription that sat
-// detached past the DetachedTTL deadline and was expired server-side.
-// Unlike the generic unknown-subscription error, the typed code tells the
-// client its stream is definitively gone — re-subscribe, don't retry.
-const codeSubExpired = "sub_expired"
-
 // codeUnauthorized marks an auth rejection (ErrUnauthorized across the
 // wire).
 const codeUnauthorized = "unauthorized"
@@ -173,6 +128,10 @@ const codeUnauthorized = "unauthorized"
 // tls.RecordHeaderError and answers in plaintext — the one protocol the
 // confused client can actually read.
 const codeTLSRequired = "tls_required"
+
+// codeUnknownOp marks a request naming an op (or query phase) the shard
+// RPC does not serve.
+const codeUnknownOp = "unknown_op"
 
 // codeDeadline and codeCanceled structure context failures on the wire,
 // so a server-side deadline expiry keeps its context.DeadlineExceeded
@@ -213,31 +172,23 @@ type Request struct {
 	Op string `json:"op"`
 	// Token authenticates the connection on the "auth" op (required first
 	// when the server has Options.Token configured).
-	Token     string       `json:"token,omitempty"`
-	OID       int64        `json:"oid,omitempty"`
-	Verts     [][3]float64 `json:"verts,omitempty"`
-	Query     string       `json:"query,omitempty"`
-	Queries   []string     `json:"queries,omitempty"`
-	Waypoints [][2]float64 `json:"waypoints,omitempty"`
-	Start     float64      `json:"start,omitempty"`
-	Speed     float64      `json:"speed,omitempty"`
+	Token string       `json:"token,omitempty"`
+	OID   int64        `json:"oid,omitempty"`
+	Verts [][3]float64 `json:"verts,omitempty"`
 
-	// Requests carries unified query descriptors for the "query" op —
-	// the engine.Request contract, forwarded verbatim.
-	Requests []engine.Request `json:"requests,omitempty"`
-	// DeadlineMS (> 0) bounds the "query" op end to end: the server
-	// evaluates under a context deadline and fails the op with a context
-	// error once it expires. It applies to the shard phases too.
+	// DeadlineMS (> 0) bounds the bounds, survivors and refine phases: the
+	// server evaluates under a context deadline and fails the phase with a
+	// context error once it expires.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
-	// Phase selects a cluster sub-operation of the "query" op: ""
-	// evaluates Requests; "bounds" and "survivors" are the two-phase NN
-	// bound exchange (OID/Verts carry the query trajectory, Tb/Te the
-	// window, K the rank; Bounds the imposed global bounds for the
-	// survivors phase); "oids" lists the stored OIDs; "all" returns every
-	// stored trajectory; "gather" uploads a union survivor store in
-	// incremental frames and "refine" evaluates a restricted whole-MOD
-	// filter against it (the distributed-refine protocol).
+	// Phase selects the sub-operation of the "query" op: "bounds" and
+	// "survivors" are the two-phase NN bound exchange (OID/Verts carry the
+	// query trajectory, Tb/Te the window, K the rank; Bounds the imposed
+	// global bounds for the survivors phase); "oids" lists the stored
+	// OIDs; "all" returns every stored trajectory; "gather" uploads a
+	// union survivor store in incremental frames and "refine" evaluates a
+	// restricted whole-MOD filter against it (the distributed-refine
+	// protocol).
 	Phase  string    `json:"phase,omitempty"`
 	Tb     float64   `json:"tb,omitempty"`
 	Te     float64   `json:"te,omitempty"`
@@ -256,28 +207,24 @@ type Request struct {
 	More bool `json:"more,omitempty"`
 	// Trajs carries one chunk of the union store on "gather" frames.
 	Trajs []WireTraj `json:"trajs,omitempty"`
+	// Request is the whole-MOD filter a "refine" (or final "gather")
+	// frame evaluates.
+	Request *engine.Request `json:"request,omitempty"`
 
 	// Updates carries the "ingest" op's live update batch (the
-	// mod.ApplyUpdate contract: revision, extension, or insert per item).
+	// mod.ApplyUpdate contract: revision, extension, insert, tag flip or
+	// retirement per item).
 	Updates []WireTraj `json:"updates,omitempty"`
-	// OIDs carries the "owns" op's bulk ownership probe.
+	// OIDs carries the "owns" op's bulk ownership probe and the refine
+	// phases' own-survivor domain.
 	OIDs []int64 `json:"oids,omitempty"`
-	// Request carries the "subscribe" op's standing query.
-	Request *engine.Request `json:"request,omitempty"`
-	// SubID identifies the subscription for the "unsubscribe" op — and,
-	// on a "subscribe" op, selects the resume path: re-attach to the
-	// detached subscription SubID instead of registering a new one.
-	SubID int64 `json:"sub_id,omitempty"`
-	// FromSeq is the last event sequence the resuming client saw; the
-	// server replays the retained events after it (continuous.Hub.Replay)
-	// before resuming the live stream. Used only with a resume subscribe.
-	FromSeq uint64 `json:"from_seq,omitempty"`
 }
 
-// WireApplied is one applied live update on the wire. ChangedFrom is
-// omitted for inserts (it is -Inf in memory; JSON has no Inf literal) and
-// for pure tag flips, which carry TagsOnly instead (ChangedFrom is +Inf
-// in memory: no motion changed).
+// WireApplied is one applied live update on the wire — the shard ingest
+// reply and the gateway's /v1/ingest reply share it. ChangedFrom is
+// omitted for inserts and retirements (it is -Inf in memory; JSON has no
+// Inf literal) and for pure tag flips, which carry TagsOnly instead
+// (ChangedFrom is +Inf in memory: no motion changed).
 type WireApplied struct {
 	OID         int64        `json:"oid"`
 	Inserted    bool         `json:"inserted,omitempty"`
@@ -291,35 +238,17 @@ type WireApplied struct {
 	PrevTags    []string     `json:"prev_tags,omitempty"`
 }
 
-// WireTraj is one trajectory on the wire (the survivors/all phases and
-// the ingest op). Tags follows the mod.Update contract: nil leaves the
-// OID's tags alone, empty clears them, non-empty replaces them.
+// WireTraj is one trajectory on the wire (the survivors/all/gather phases)
+// and one live update (the shard ingest op and the gateway's /v1/ingest
+// body). Tags follows the mod.Update contract: nil leaves the OID's tags
+// alone, empty clears them, non-empty replaces them.
 type WireTraj struct {
 	OID   int64        `json:"oid"`
-	Verts [][3]float64 `json:"verts"`
+	Verts [][3]float64 `json:"verts,omitempty"`
 	Tags  *[]string    `json:"tags,omitempty"`
 	// Retire marks a retirement update (mod.Update.Retire): no vertices,
 	// no tags — the object leaves the store.
 	Retire bool `json:"retire,omitempty"`
-}
-
-// Answer is one engine.Request's outcome inside a "query" response.
-type Answer struct {
-	OK      bool              `json:"ok"`
-	Error   string            `json:"error,omitempty"`
-	IsBool  bool              `json:"is_bool,omitempty"`
-	Bool    *bool             `json:"bool,omitempty"`
-	OIDs    []int64           `json:"oids,omitempty"`
-	Pairs   map[int64][]int64 `json:"pairs,omitempty"`
-	Explain *engine.Explain   `json:"explain,omitempty"`
-}
-
-// BatchEntry is one statement's outcome inside a batch response.
-type BatchEntry struct {
-	OK    bool    `json:"ok"`
-	Error string  `json:"error,omitempty"`
-	Bool  *bool   `json:"bool,omitempty"`
-	OIDs  []int64 `json:"oids,omitempty"`
 }
 
 // Response is the wire format of a server reply.
@@ -332,14 +261,14 @@ type Response struct {
 	Verts [][3]float64 `json:"verts,omitempty"`
 	// Tags carries the OID's tag set on the "get" reply (absent when
 	// untagged).
-	Tags    []string     `json:"tags,omitempty"`
-	Bool    *bool        `json:"bool,omitempty"`
-	OIDs    []int64      `json:"oids,omitempty"`
-	Results []BatchEntry `json:"results,omitempty"`
-	Answers []Answer     `json:"answers,omitempty"`
+	Tags []string `json:"tags,omitempty"`
+	// OIDs answers the "oids" phase and the refine phases.
+	OIDs []int64 `json:"oids,omitempty"`
+	// Explain carries the refine phases' evaluation provenance.
+	Explain *engine.Explain `json:"explain,omitempty"`
 
-	// Code structures selected failures (codeNotFound, codeUnknownGather)
-	// so clients can rebuild error identities and retry paths.
+	// Code structures selected failures (codeNotFound, codeUnknownGather,
+	// ...) so clients can rebuild error identities and retry paths.
 	Code string `json:"code,omitempty"`
 	// Bounds answers the "bounds" phase (+Inf encoded as -1).
 	Bounds []float64 `json:"bounds,omitempty"`
@@ -359,28 +288,18 @@ type Response struct {
 	Applied []WireApplied `json:"applied,omitempty"`
 	// Owned answers the "owns" op, elementwise per requested OID.
 	Owned []bool `json:"owned,omitempty"`
-	// SubID answers the "subscribe" op; Answer carries its initial result.
-	SubID  int64   `json:"sub_id,omitempty"`
-	Answer *Answer `json:"answer,omitempty"`
-	// Event is an asynchronous subscription diff pushed to a subscribed
-	// connection (never a direct reply; clients route on its presence).
-	Event *continuous.Event `json:"event,omitempty"`
 }
 
 // Options tunes serving-layer hardening.
 type Options struct {
 	// ReadTimeout bounds how long a connection may sit between request
 	// lines; a connection that stalls longer is closed. Zero means
-	// DefaultReadTimeout; negative disables the deadline. Connections
-	// that own subscriptions are exempt (they are event listeners, not
-	// request streams); stalled subscribers are reaped by WriteTimeout at
-	// the next event instead.
+	// DefaultReadTimeout; negative disables the deadline.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one asynchronous subscription-event write; a
-	// subscriber whose peer stops reading is closed instead of blocking
-	// ingest fan-out. Request replies are exempt (large gathers on slow
-	// links are legitimate). Zero means DefaultWriteTimeout; negative
-	// disables the deadline.
+	// WriteTimeout bounds one frame of a streamed reply; a reader that
+	// stops mid-stream is closed. Single-line replies are exempt (large
+	// gathers on slow links are legitimate). Zero means
+	// DefaultWriteTimeout; negative disables the deadline.
 	WriteTimeout time.Duration
 	// MaxLineBytes caps one request line. Zero means MaxLine. An
 	// oversized request gets one error response, then the connection is
@@ -391,47 +310,17 @@ type Options struct {
 	// discards it — the multi-frame analogue of MaxLineBytes. Zero means
 	// DefaultMaxGatherBytes; negative disables the cap.
 	MaxGatherBytes int
-	// Journal, when set, makes the mutation path write-ahead durable:
-	// every ingest batch is appended to it before the hub applies it, and
-	// AfterApply runs after a successful apply (where a wal.Log decides
-	// whether to snapshot). Insert and trip ops route through the same
-	// journaled ingest; delete is rejected (it has no journal record and
-	// would silently diverge recovery).
+	// Journal, when set, makes ingest write-ahead durable: every batch is
+	// appended to it before the store applies it, and AfterApply runs
+	// after a successful apply (where a wal.Log decides whether to
+	// snapshot).
 	Journal Journal
-	// MaxDetached bounds how many subscriptions closed connections may
-	// leave detached awaiting a from_seq resume; past it the oldest is
-	// dropped for real. Zero means DefaultMaxDetached; negative disables
-	// detaching (a closed connection's subscriptions die immediately, the
-	// pre-durability behavior).
-	MaxDetached int
-	// DetachedTTL bounds how long a detached subscription stays resumable.
-	// Past the deadline it is expired for real — unsubscribed from the hub,
-	// so its backlog memory and per-ingest evaluation work stop — and a
-	// later from_seq resume gets the typed codeSubExpired rejection. Zero
-	// means DefaultDetachedTTL; negative disables the deadline (LRU bound
-	// only, the pre-deadline behavior).
-	DetachedTTL time.Duration
-	// EventBacklog is the per-subscription replay backlog bound, passed
-	// through to the hub (continuous.HubOptions.BacklogCap): zero selects
-	// continuous.DefaultBacklog, negative disables retention.
-	EventBacklog int
 	// Token, when non-empty, requires every connection to authenticate
 	// with {"op":"auth","token":...} before any other op. A wrong token
 	// (or an op before auth) gets one coded unauthorized reply and the
 	// connection is closed. Comparison is constant-time.
 	Token string
 }
-
-// DefaultMaxDetached bounds detached (resumable) subscriptions per
-// server.
-const DefaultMaxDetached = 64
-
-// DefaultDetachedTTL is how long a detached subscription stays resumable
-// before the server expires it. Long enough to ride out a reconnect
-// backoff; short enough that churny subscribe/disconnect load cannot pin
-// hub backlogs and per-ingest evaluation work behind readers that are
-// never coming back.
-const DefaultDetachedTTL = 2 * time.Minute
 
 // Journal is the write-ahead hook the ingest path drives (implemented by
 // wal.Log). Append must make the batch durable before it returns; it runs
@@ -443,69 +332,36 @@ type Journal interface {
 	AfterApply(store *mod.Store) error
 }
 
-// Server serves a store over a listener. Batch queries run through one
-// shared engine so concurrent clients benefit from the same processor
-// memo, and one continuous-query hub keeps every connection's standing
-// subscriptions fresh across ingests from any connection.
+// Server serves a store over a listener. Refines run through one shared
+// engine so concurrent connections benefit from the same processor memo.
 type Server struct {
 	store        *mod.Store
 	engine       *engine.Engine
-	hub          *continuous.Hub
 	journal      Journal
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	maxLine      int
 	maxGather    int
-	maxDetached  int
-	detachedTTL  time.Duration
 	token        string
-	// now is the detach-deadline clock (time.Now in production; tests
-	// substitute a stepped clock to exercise expiry deterministically).
-	now func() time.Time
 
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 
-	// emitMu serializes every journaled mutation + event fan-out, so the
-	// journal's append order is the apply order and subscribers observe
-	// event batches in ingest order (per-subscription Seq is monotone on
-	// the wire, not just in the hub).
-	emitMu sync.Mutex
-	// subsMu guards the subscription → connection routing table and the
-	// detached set.
-	subsMu      sync.Mutex
-	subscribers map[int64]*connState
-	// detached holds subscriptions whose connection closed but which stay
-	// live in the hub awaiting a from_seq resume, keyed to their detach
-	// time (the DetachedTTL deadline base); detachedOrder is their
-	// eviction order (oldest first — also deadline order, since detach
-	// times are appended monotonically), bounded by maxDetached.
-	detached      map[int64]time.Time
-	detachedOrder []int64
-	// expired remembers recently deadline-expired subscription IDs so a
-	// late resume gets the typed codeSubExpired rejection rather than the
-	// generic unknown-subscription error; expiredOrder bounds it FIFO at
-	// maxDetached.
-	expired      map[int64]struct{}
-	expiredOrder []int64
+	// ingestMu serializes journal append and apply, so the journal's
+	// append order is the apply order.
+	ingestMu sync.Mutex
 }
 
-// connState is one connection's locked writer plus the subscriptions it
-// owns. The lock serializes the handler's replies with asynchronous event
-// pushes triggered by other connections' ingests. The gather fields are
-// touched only by the connection's own handler goroutine (the protocol is
-// synchronous per connection), so they need no lock.
+// connState is one connection's writer plus its gather cache. Only the
+// connection's own handler goroutine touches it (the protocol is
+// synchronous per connection), so it needs no lock.
 type connState struct {
 	conn         net.Conn
 	writeTimeout time.Duration
-	wmu          sync.Mutex
 	enc          *json.Encoder
-	subs         map[int64]struct{}
-	// authed records a successful auth op; touched only by the handler
-	// goroutine (the protocol is synchronous per connection).
-	authed bool
+	authed       bool
 
 	// pending accumulates in-flight gather uploads frame by frame;
 	// gathers/gatherOrder hold the few completed union stores this
@@ -516,42 +372,20 @@ type connState struct {
 }
 
 // send writes a request reply with no write deadline: replies can be
-// legitimately large (the all/survivors gathers ship whole trajectory
-// sets) and slow links must not sever them.
-func (cs *connState) send(resp Response) error {
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	return cs.enc.Encode(resp)
-}
+// legitimately large and slow links must not sever them.
+func (cs *connState) send(resp Response) error { return cs.enc.Encode(resp) }
 
-// sendEvent pushes an asynchronous subscription event under the write
-// deadline: the ingest path fans events out while holding the emission
-// lock, so a subscriber that stopped reading must fail fast (and be
-// disconnected) instead of wedging every ingest behind its full TCP
-// buffer.
-func (cs *connState) sendEvent(resp Response) error {
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	if cs.writeTimeout > 0 {
-		_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
+// sendFrame writes one frame of a streamed reply under the write
+// deadline: a reader that stalls mid-stream is severed at the next frame
+// instead of pinning the connection goroutine on a full TCP buffer.
+func (cs *connState) sendFrame(resp Response) error {
+	if cs.writeTimeout <= 0 {
+		return cs.enc.Encode(resp)
 	}
+	_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
 	err := cs.enc.Encode(resp)
-	if cs.writeTimeout > 0 {
-		_ = cs.conn.SetWriteDeadline(time.Time{})
-	}
+	_ = cs.conn.SetWriteDeadline(time.Time{})
 	return err
-}
-
-// NewServer wraps a store with a default engine (one worker per CPU) and
-// default hardening options.
-func NewServer(store *mod.Store) *Server {
-	return NewServerWithEngine(store, engine.New(0))
-}
-
-// NewServerWithEngine wraps a store with a caller-tuned engine and default
-// hardening options.
-func NewServerWithEngine(store *mod.Store, eng *engine.Engine) *Server {
-	return NewServerWith(store, eng, Options{})
 }
 
 // NewServerWith wraps a store with a caller-tuned engine and explicit
@@ -572,36 +406,13 @@ func NewServerWith(store *mod.Store, eng *engine.Engine, o Options) *Server {
 	if o.MaxGatherBytes == 0 {
 		o.MaxGatherBytes = DefaultMaxGatherBytes
 	}
-	switch {
-	case o.MaxDetached == 0:
-		o.MaxDetached = DefaultMaxDetached
-	case o.MaxDetached < 0:
-		o.MaxDetached = 0
-	}
-	switch {
-	case o.DetachedTTL == 0:
-		o.DetachedTTL = DefaultDetachedTTL
-	case o.DetachedTTL < 0:
-		o.DetachedTTL = 0
-	}
 	return &Server{
-		store: store, engine: eng,
-		hub:         continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: o.EventBacklog}),
-		journal:     o.Journal,
-		readTimeout: o.ReadTimeout, writeTimeout: o.WriteTimeout, maxLine: o.MaxLineBytes,
-		maxGather: o.MaxGatherBytes, maxDetached: o.MaxDetached, detachedTTL: o.DetachedTTL,
-		token:       o.Token,
-		now:         time.Now,
-		conns:       make(map[net.Conn]struct{}),
-		subscribers: make(map[int64]*connState),
-		detached:    make(map[int64]time.Time),
-		expired:     make(map[int64]struct{}),
+		store: store, engine: eng, journal: o.Journal,
+		readTimeout: o.ReadTimeout, writeTimeout: o.WriteTimeout,
+		maxLine: o.MaxLineBytes, maxGather: o.MaxGatherBytes, token: o.Token,
+		conns: make(map[net.Conn]struct{}),
 	}
 }
-
-// Hub exposes the server's continuous-query hub (in-process callers and
-// tests; wire clients use the subscribe/ingest ops).
-func (s *Server) Hub() *continuous.Hub { return s.hub }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (ErrServerClosed after a clean shutdown).
@@ -650,11 +461,10 @@ func (s *Server) Close() error {
 }
 
 // Shutdown drains the server gracefully: it stops accepting, lets every
-// in-flight request finish, then disconnects the idle connections (which
-// detaches their subscriptions for a later from_seq resume, exactly like
-// a client-side drop). Connections still alive when ctx expires are
-// force-closed and ctx's error returned. Safe to call concurrently with
-// Serve; after it returns, Serve has ErrServerClosed.
+// in-flight request finish, then disconnects the idle connections.
+// Connections still alive when ctx expires are force-closed and ctx's
+// error returned. Safe to call concurrently with Serve; after it returns,
+// Serve has ErrServerClosed.
 //
 // Mechanism: a handler blocked in Scan is kicked by an immediate read
 // deadline. One kick is not enough — a handler that was mid-request
@@ -696,10 +506,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	cs := &connState{conn: conn, writeTimeout: s.writeTimeout, enc: json.NewEncoder(conn), subs: make(map[int64]struct{})}
+	cs := &connState{conn: conn, writeTimeout: s.writeTimeout, enc: json.NewEncoder(conn)}
 	defer func() {
 		conn.Close()
-		s.dropSubscriber(cs)
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -733,16 +542,8 @@ func (s *Server) handle(conn net.Conn) {
 		// Arm the per-connection read deadline before each request line:
 		// a client that stalls mid-line (or goes silent) is disconnected
 		// instead of pinning this goroutine and its buffers forever.
-		// Exception: a connection that owns subscriptions is a legitimate
-		// pure listener (its client blocks in NextEvent and, being
-		// synchronous, cannot ping) — it gets no read deadline; a dead
-		// subscriber is reaped instead by the event write deadline.
 		if s.readTimeout > 0 {
-			if s.isSubscriber(cs) {
-				_ = conn.SetReadDeadline(time.Time{})
-			} else {
-				_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-			}
+			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 		}
 		if !sc.Scan() {
 			if errors.Is(sc.Err(), bufio.ErrTooLong) {
@@ -757,7 +558,7 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		var req Request
-		resp := Response{OK: true}
+		var resp Response
 		if err := json.Unmarshal(line, &req); err != nil {
 			resp = Response{Error: fmt.Sprintf("bad request: %v", err)}
 		} else if req.Op == "auth" {
@@ -769,6 +570,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			cs.authed = true
+			resp = Response{OK: true}
 		} else if s.token != "" && !cs.authed {
 			_ = cs.send(Response{Error: ErrUnauthorized.Error() + ": authenticate first", Code: codeUnauthorized})
 			return
@@ -785,13 +587,6 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			continue
-		} else if req.Op == "subscribe" && req.SubID != 0 {
-			// A resume writes its reply and the replayed backlog itself
-			// (the two must be adjacent under the emission lock).
-			if !s.resumeSubscribe(req, cs) {
-				return
-			}
-			continue
 		} else {
 			resp = s.dispatch(req, cs)
 		}
@@ -801,174 +596,8 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// isSubscriber reports whether the connection currently owns any
-// subscription.
-func (s *Server) isSubscriber(cs *connState) bool {
-	s.subsMu.Lock()
-	defer s.subsMu.Unlock()
-	return len(cs.subs) > 0
-}
-
-// sweepDetachedLocked expires every detached subscription whose deadline
-// (detach time + detachedTTL) has passed, returning the expired IDs for
-// the caller to unsubscribe from the hub outside subsMu. detachedOrder is
-// append-ordered by detach time, so the sweep walks the front and stops
-// at the first survivor. Expired IDs are remembered (FIFO-bounded) so a
-// late resume can be rejected with the typed codeSubExpired.
-func (s *Server) sweepDetachedLocked(now time.Time) []int64 {
-	if s.detachedTTL <= 0 {
-		return nil
-	}
-	var dead []int64
-	for len(s.detachedOrder) > 0 {
-		oldest := s.detachedOrder[0]
-		at, live := s.detached[oldest]
-		if live && now.Sub(at) < s.detachedTTL {
-			break
-		}
-		s.detachedOrder = s.detachedOrder[1:]
-		if !live {
-			continue // resumed or unsubscribed; stale order entry
-		}
-		delete(s.detached, oldest)
-		dead = append(dead, oldest)
-		if _, dup := s.expired[oldest]; !dup {
-			s.expired[oldest] = struct{}{}
-			s.expiredOrder = append(s.expiredOrder, oldest)
-		}
-	}
-	bound := s.maxDetached
-	if bound < DefaultMaxDetached {
-		bound = DefaultMaxDetached
-	}
-	for len(s.expiredOrder) > bound {
-		delete(s.expired, s.expiredOrder[0])
-		s.expiredOrder = s.expiredOrder[1:]
-	}
-	return dead
-}
-
-// dropSubscriber detaches every subscription a closing connection owned:
-// the subscription stays live in the hub (its events keep accumulating in
-// the bounded backlog) so a reconnecting client can resume with from_seq.
-// The detached set is LRU-bounded and deadline-swept; evicted or expired
-// subscriptions — and all of them when detaching is disabled — are
-// unsubscribed for real.
-func (s *Server) dropSubscriber(cs *connState) {
-	s.subsMu.Lock()
-	evicted := s.sweepDetachedLocked(s.now())
-	for id := range cs.subs {
-		delete(s.subscribers, id)
-		delete(cs.subs, id)
-		if s.maxDetached <= 0 {
-			evicted = append(evicted, id)
-			continue
-		}
-		s.detached[id] = s.now()
-		s.detachedOrder = append(s.detachedOrder, id)
-	}
-	for len(s.detached) > s.maxDetached {
-		oldest := s.detachedOrder[0]
-		s.detachedOrder = s.detachedOrder[1:]
-		if _, ok := s.detached[oldest]; ok {
-			delete(s.detached, oldest)
-			evicted = append(evicted, oldest)
-		}
-	}
-	// Resume deletes from the set but leaves its order entry; compact the
-	// stale entries once they dominate so the slice stays bounded.
-	if len(s.detachedOrder) > 2*len(s.detached)+16 {
-		kept := s.detachedOrder[:0]
-		seen := make(map[int64]struct{}, len(s.detached))
-		for _, id := range s.detachedOrder {
-			if _, live := s.detached[id]; !live {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			kept = append(kept, id)
-		}
-		s.detachedOrder = kept
-	}
-	s.subsMu.Unlock()
-	for _, id := range evicted {
-		s.hub.Unsubscribe(id)
-	}
-}
-
-// resumeSubscribe re-attaches a detached subscription to this connection
-// and replays the events its client missed since from_seq. Everything —
-// gap check, attachment, the OK reply, and the replayed backlog — happens
-// under the emission lock, so no live event can interleave: the client
-// sees exactly the missed diffs in order, then the live stream. The
-// return value reports whether the connection is still usable.
-func (s *Server) resumeSubscribe(req Request, cs *connState) bool {
-	s.emitMu.Lock()
-	fail := func(resp Response) bool {
-		s.emitMu.Unlock()
-		return cs.send(resp) == nil
-	}
-	s.subsMu.Lock()
-	dead := s.sweepDetachedLocked(s.now())
-	owner, attached := s.subscribers[req.SubID]
-	_, isDetached := s.detached[req.SubID]
-	_, wasExpired := s.expired[req.SubID]
-	s.subsMu.Unlock()
-	for _, id := range dead {
-		s.hub.Unsubscribe(id)
-	}
-	if attached && owner != cs {
-		return fail(Response{Error: fmt.Sprintf("subscribe: subscription %d is owned by a live connection", req.SubID)})
-	}
-	if !attached && !isDetached {
-		if wasExpired {
-			return fail(Response{
-				Error: fmt.Sprintf("subscribe: subscription %d expired after %v detached", req.SubID, s.detachedTTL),
-				Code:  codeSubExpired,
-			})
-		}
-		return fail(Response{Error: fmt.Sprintf("subscribe: unknown or expired subscription %d", req.SubID)})
-	}
-	events, err := s.hub.Replay(req.SubID, req.FromSeq)
-	if err != nil {
-		if errors.Is(err, continuous.ErrEventGap) {
-			// The backlog was truncated past from_seq: the missed diffs are
-			// unrecoverable. The subscription stays detached — the client
-			// decides whether to resume from the present or re-subscribe.
-			return fail(Response{Error: err.Error(), Code: codeEventGap})
-		}
-		return fail(Response{Error: err.Error()})
-	}
-	res, err := s.hub.Answer(req.SubID)
-	if err != nil {
-		return fail(Response{Error: err.Error()})
-	}
-	s.subsMu.Lock()
-	delete(s.detached, req.SubID)
-	s.subscribers[req.SubID] = cs
-	cs.subs[req.SubID] = struct{}{}
-	s.subsMu.Unlock()
-	defer s.emitMu.Unlock()
-	ans := encodeAnswer(res)
-	if cs.send(Response{OK: true, SubID: req.SubID, Answer: &ans}) != nil {
-		return false
-	}
-	for _, ev := range events {
-		ev := ev
-		if cs.sendEvent(Response{OK: true, Event: &ev}) != nil {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Server) dispatch(req Request, cs *connState) Response {
-	fail := func(err error) Response { return Response{Error: err.Error()} }
 	switch req.Op {
-	case "ping":
-		return Response{OK: true}
 	case "ingest":
 		return s.doIngest(req)
 	case "owns":
@@ -978,104 +607,20 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			owned[i] = err == nil
 		}
 		return Response{OK: true, Owned: owned}
-	case "subscribe":
-		return s.doSubscribe(req, cs)
-	case "unsubscribe":
-		return s.doUnsubscribe(req, cs)
 	case "count":
 		return Response{OK: true, Count: s.store.Len()}
 	case "spec":
 		spec := s.store.Spec()
 		// max_line rides along so clients can size gather upload frames.
 		return Response{OK: true, Spec: &spec, MaxLine: s.maxLine}
-	case "insert":
-		verts := make([]trajectory.Vertex, len(req.Verts))
-		for i, v := range req.Verts {
-			verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		tr, err := trajectory.New(req.OID, verts)
-		if err != nil {
-			return fail(err)
-		}
-		if s.journal != nil {
-			if resp := s.insertJournaled(tr); resp.Error != "" {
-				return resp
-			}
-			return Response{OK: true}
-		}
-		if err := s.store.Insert(tr); err != nil {
-			return fail(err)
-		}
-		return Response{OK: true}
 	case "get":
 		tr, err := s.store.Get(req.OID)
 		if err != nil {
-			if errors.Is(err, mod.ErrNotFound) {
-				return Response{Error: err.Error(), Code: codeNotFound}
-			}
-			return fail(err)
+			return codedFail(err)
 		}
-		out := make([][3]float64, len(tr.Verts))
-		for i, v := range tr.Verts {
-			out[i] = [3]float64{v.X, v.Y, v.T}
-		}
-		return Response{OK: true, OID: tr.OID, Verts: out, Tags: s.store.Tags(tr.OID)}
-	case "delete":
-		if s.journal != nil {
-			// The journal has no delete record: a non-journaled delete
-			// would make recovery silently resurrect the object.
-			return Response{Error: "modserver: delete is not durable with a journal enabled"}
-		}
-		if err := s.store.Delete(req.OID); err != nil {
-			if errors.Is(err, mod.ErrNotFound) {
-				return Response{Error: err.Error(), Code: codeNotFound}
-			}
-			return fail(err)
-		}
-		return Response{OK: true}
-	case "trip":
-		wps := make([]geom.Point, len(req.Waypoints))
-		for i, w := range req.Waypoints {
-			wps[i] = geom.Point{X: w[0], Y: w[1]}
-		}
-		tr, err := mod.PlanTrip(req.OID, wps, req.Start, req.Speed)
-		if err != nil {
-			return fail(err)
-		}
-		if s.journal != nil {
-			if resp := s.insertJournaled(tr); resp.Error != "" {
-				return resp
-			}
-		} else if err := s.store.Insert(tr); err != nil {
-			return fail(err)
-		}
-		out := make([][3]float64, len(tr.Verts))
-		for i, v := range tr.Verts {
-			out[i] = [3]float64{v.X, v.Y, v.T}
-		}
-		return Response{OK: true, OID: tr.OID, Verts: out}
-	case "uql":
-		// Single statements also run through the engine so repeated
-		// queries against one (TrQ, window) reuse the memoized
-		// preprocessing.
-		item := uql.RunBatch([]string{req.Query}, s.store, s.engine)[0]
-		if item.Err != nil {
-			return fail(item.Err)
-		}
-		res := item.Result
-		if res.IsBool {
-			b := res.Bool
-			return Response{OK: true, Bool: &b}
-		}
-		oids := res.OIDs
-		if oids == nil {
-			oids = []int64{}
-		}
-		return Response{OK: true, OIDs: oids}
+		return Response{OK: true, OID: tr.OID, Verts: encodeVerts(tr.Verts), Tags: s.store.Tags(tr.OID)}
 	case "query":
 		switch req.Phase {
-		case "":
-			return s.doQuery(req)
 		case "bounds":
 			return s.doBounds(req)
 		case "oids":
@@ -1089,74 +634,12 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			return s.doGather(req, cs)
 		case "refine":
 			return s.doRefine(req, cs)
-		default:
-			// "survivors" and "all" stream from the handler loop and never
-			// reach dispatch.
-			return Response{Error: fmt.Sprintf("unknown query phase %q", req.Phase)}
 		}
-	case "batch":
-		items := uql.RunBatch(req.Queries, s.store, s.engine)
-		entries := make([]BatchEntry, len(items))
-		for i, it := range items {
-			if it.Err != nil {
-				entries[i] = BatchEntry{Error: it.Err.Error()}
-				continue
-			}
-			e := BatchEntry{OK: true}
-			if it.Result.IsBool {
-				b := it.Result.Bool
-				e.Bool = &b
-			} else {
-				// omitempty drops empty OID lists from the wire; the
-				// client reads an absent key as an empty retrieval.
-				e.OIDs = it.Result.OIDs
-			}
-			entries[i] = e
-		}
-		return Response{OK: true, Results: entries}
-	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		// "survivors" and "all" stream from the handler loop and never
+		// reach dispatch.
+		return Response{Error: fmt.Sprintf("modserver: unknown op %q phase %q", req.Op, req.Phase), Code: codeUnknownOp}
 	}
-}
-
-// doQuery evaluates a batch of unified requests under the optional
-// deadline. Per-request failures are reported inside answers; an expired
-// deadline (or canceled batch) fails the whole op with the context error.
-func (s *Server) doQuery(req Request) Response {
-	ctx := context.Background()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	results, err := s.engine.DoBatch(ctx, s.store, req.Requests)
-	if err != nil {
-		return codedFail(err)
-	}
-	answers := make([]Answer, len(results))
-	for i, r := range results {
-		a := Answer{OK: r.Err == nil}
-		if r.Err != nil {
-			a.Error = r.Err.Error()
-			answers[i] = a
-			continue
-		}
-		ex := r.Explain
-		a.Explain = &ex
-		switch {
-		case r.IsBool:
-			b := r.Bool
-			a.IsBool, a.Bool = true, &b
-		case r.Pairs != nil:
-			a.Pairs = r.Pairs
-		default:
-			// omitempty drops empty OID lists from the wire; the client
-			// reads an absent key as an empty retrieval.
-			a.OIDs = r.OIDs
-		}
-		answers[i] = a
-	}
-	return Response{OK: true, Answers: answers}
+	return Response{Error: fmt.Sprintf("modserver: unknown op %q", req.Op), Code: codeUnknownOp}
 }
 
 // phaseCtx builds the evaluation context for a shard phase under the
@@ -1170,11 +653,7 @@ func phaseCtx(req Request) (context.Context, context.CancelFunc) {
 
 // wireQuery rebuilds the phase's query trajectory from the wire fields.
 func wireQuery(req Request) (*trajectory.Trajectory, error) {
-	verts := make([]trajectory.Vertex, len(req.Verts))
-	for i, v := range req.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	return trajectory.New(req.OID, verts)
+	return trajectory.New(req.OID, decodeVerts(req.Verts))
 }
 
 // doBounds answers phase 1 of the cluster bound exchange: per-slice upper
@@ -1197,27 +676,12 @@ func (s *Server) doBounds(req Request) Response {
 	return Response{OK: true, Bounds: encodeBounds(bounds)}
 }
 
-// doIngest applies a live update batch through the hub and pushes the
-// resulting subscription diff events to their owning connections. The
-// emit lock serializes concurrent ingests end to end (apply + fan-out),
-// so every subscriber sees its events in ingest order.
+// doIngest journals and applies one live update batch. The ingest lock
+// makes the journal's append order the apply order.
 func (s *Server) doIngest(req Request) Response {
-	updates := make([]mod.Update, len(req.Updates))
-	for i, wu := range req.Updates {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		updates[i] = mod.Update{OID: wu.OID, Verts: verts, Tags: wu.Tags, Retire: wu.Retire}
-	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	return s.ingestLocked(updates)
-}
-
-// ingestLocked journals, applies, and fans out one update batch. Caller
-// holds emitMu — the lock under which journal order equals apply order.
-func (s *Server) ingestLocked(updates []mod.Update) Response {
+	updates := DecodeUpdates(req.Updates)
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	if s.journal != nil {
 		// Write-ahead: the batch must be durable before it is applied. A
 		// batch the journal rejected is not applied at all.
@@ -1225,13 +689,15 @@ func (s *Server) ingestLocked(updates []mod.Update) Response {
 			return Response{Error: fmt.Sprintf("modserver: journal append: %v", err)}
 		}
 	}
-	applied, events, err := s.hub.Ingest(context.Background(), updates)
+	applied, err := s.store.ApplyUpdates(updates)
 	if err != nil {
 		// A mid-batch failure still committed a prefix: report it with the
 		// error (the mod.ApplyUpdates contract), so callers — the cluster
 		// router above all — know exactly which updates landed. The journal
 		// holds the full batch; replay reproduces the same prefix.
-		return Response{Error: err.Error(), Applied: encodeApplied(applied)}
+		resp := codedFail(err)
+		resp.Applied = EncodeApplied(applied)
+		return resp
 	}
 	if s.journal != nil {
 		// A failed snapshot does not lose data — the appended log still
@@ -1239,48 +705,36 @@ func (s *Server) ingestLocked(updates []mod.Update) Response {
 		// later, hopefully healthier, snapshot attempt.
 		_ = s.journal.AfterApply(s.store)
 	}
-	// Sweep deadline-expired detached subscriptions on the ingest path too:
-	// without it, a quiet server (no connection churn) would keep paying
-	// their evaluation cost every batch and pinning their backlogs forever.
-	s.subsMu.Lock()
-	dead := s.sweepDetachedLocked(s.now())
-	s.subsMu.Unlock()
-	for _, id := range dead {
-		s.hub.Unsubscribe(id)
-	}
-	for _, ev := range events {
-		s.subsMu.Lock()
-		cs := s.subscribers[ev.SubID]
-		s.subsMu.Unlock()
-		if cs == nil {
-			continue // in-process subscription (Server.Hub()) or a racing close
-		}
-		ev := ev
-		if err := cs.sendEvent(Response{OK: true, Event: &ev}); err != nil {
-			// The subscriber stalled past the write deadline or is gone:
-			// tell it why (best effort — the parting line often fits the
-			// little buffer room a huge stuck event could not) and close
-			// its connection so the handler unwinds and detaches every
-			// subscription it owned, instead of dropping events into a
-			// wedged stream forever.
-			_ = cs.sendEvent(Response{
-				Error: fmt.Sprintf("%v: %v", ErrEventStalled, err),
-				Code:  codeEventStalled,
-			})
-			_ = cs.conn.Close()
-			continue
-		}
-	}
-	return Response{OK: true, Applied: encodeApplied(applied)}
+	return Response{OK: true, Applied: EncodeApplied(applied)}
 }
 
-// encodeApplied flattens applied outcomes onto the wire. A pure tag
+// DecodeUpdates rebuilds live updates from the wire. An update without
+// vertices carries nil Verts (a pure tag flip or a retirement).
+func DecodeUpdates(wts []WireTraj) []mod.Update {
+	out := make([]mod.Update, len(wts))
+	for i, wt := range wts {
+		out[i] = mod.Update{OID: wt.OID, Verts: decodeVerts(wt.Verts), Tags: wt.Tags, Retire: wt.Retire}
+	}
+	return out
+}
+
+// encodeUpdates flattens live updates onto the wire.
+func encodeUpdates(updates []mod.Update) []WireTraj {
+	out := make([]WireTraj, len(updates))
+	for i, u := range updates {
+		out[i] = WireTraj{OID: u.OID, Verts: encodeVerts(u.Verts), Tags: u.Tags, Retire: u.Retire}
+	}
+	return out
+}
+
+// EncodeApplied flattens applied outcomes onto the wire. A pure tag
 // flip's ChangedFrom is +Inf (no motion changed), which JSON cannot
 // carry — it travels as the TagsOnly marker instead.
-func encodeApplied(applied []mod.Applied) []WireApplied {
+func EncodeApplied(applied []mod.Applied) []WireApplied {
 	out := make([]WireApplied, len(applied))
 	for i, a := range applied {
-		wa := WireApplied{OID: a.OID, Inserted: a.Inserted, Retired: a.Retired}
+		wa := WireApplied{OID: a.OID, Inserted: a.Inserted, Retired: a.Retired,
+			TagsChanged: a.TagsChanged, Tags: a.Tags, PrevTags: a.PrevTags}
 		if !a.Inserted && !a.Retired {
 			if math.IsInf(a.ChangedFrom, 1) {
 				wa.TagsOnly = true
@@ -1289,95 +743,65 @@ func encodeApplied(applied []mod.Applied) []WireApplied {
 			}
 		}
 		if a.Traj != nil {
-			wa.Verts = encodeTrajs([]*trajectory.Trajectory{a.Traj})[0].Verts
+			wa.Verts = encodeVerts(a.Traj.Verts)
 		}
 		if a.Prev != nil {
-			wa.PrevVerts = encodeTrajs([]*trajectory.Trajectory{a.Prev})[0].Verts
+			wa.PrevVerts = encodeVerts(a.Prev.Verts)
 		}
-		wa.TagsChanged = a.TagsChanged
-		wa.Tags = a.Tags
-		wa.PrevTags = a.PrevTags
 		out[i] = wa
 	}
 	return out
 }
 
-// insertJournaled routes an insert-shaped mutation (insert/trip op with a
-// journal active) through the journaled ingest path, so it is durable and
-// ordered with the update stream. The duplicate-OID check happens under
-// emitMu — the lock every journaled mutation holds — so it cannot race
-// another insert into a plan revision.
-func (s *Server) insertJournaled(tr *trajectory.Trajectory) Response {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if _, err := s.store.Get(tr.OID); err == nil {
-		return Response{Error: fmt.Sprintf("%v: %d", mod.ErrDuplicateOID, tr.OID)}
+// decodeApplied rebuilds applied outcomes from the wire.
+func decodeApplied(was []WireApplied) ([]mod.Applied, error) {
+	out := make([]mod.Applied, len(was))
+	for i, wa := range was {
+		a := mod.Applied{OID: wa.OID, Inserted: wa.Inserted, Retired: wa.Retired, ChangedFrom: wa.ChangedFrom,
+			TagsChanged: wa.TagsChanged, Tags: wa.Tags, PrevTags: wa.PrevTags}
+		if wa.Inserted || wa.Retired {
+			a.ChangedFrom = math.Inf(-1)
+		} else if wa.TagsOnly {
+			a.ChangedFrom = math.Inf(1)
+		}
+		var err error
+		if len(wa.Verts) > 0 {
+			if a.Traj, err = trajectory.New(wa.OID, decodeVerts(wa.Verts)); err != nil {
+				return nil, err
+			}
+		}
+		if len(wa.PrevVerts) > 0 {
+			if a.Prev, err = trajectory.New(wa.OID, decodeVerts(wa.PrevVerts)); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = a
 	}
-	return s.ingestLocked([]mod.Update{{OID: tr.OID, Verts: tr.Verts}})
+	return out, nil
 }
 
-// encodeAnswer flattens a result onto the wire Answer shape.
-func encodeAnswer(res engine.Result) Answer {
-	ans := Answer{OK: true}
-	ex := res.Explain
-	ans.Explain = &ex
-	switch {
-	case res.IsBool:
-		b := res.Bool
-		ans.IsBool, ans.Bool = true, &b
-	case res.Pairs != nil:
-		ans.Pairs = res.Pairs
-	default:
-		ans.OIDs = res.OIDs
+// encodeVerts flattens vertices to [x, y, t] triples.
+func encodeVerts(vs []trajectory.Vertex) [][3]float64 {
+	if vs == nil {
+		return nil
 	}
-	return ans
+	out := make([][3]float64, len(vs))
+	for i, v := range vs {
+		out[i] = [3]float64{v.X, v.Y, v.T}
+	}
+	return out
 }
 
-// doSubscribe registers a standing request owned by this connection and
-// returns its ID with the initial answer. Events stream asynchronously on
-// the same connection as {"ok":true,"event":{...}} lines. (The resume
-// path — SubID set — never reaches here; the handler routes it to
-// resumeSubscribe.)
-func (s *Server) doSubscribe(req Request, cs *connState) Response {
-	if req.Request == nil {
-		return Response{Error: "subscribe: missing request"}
+// decodeVerts is the inverse of encodeVerts; no triples decode to nil.
+func decodeVerts(vs [][3]float64) []trajectory.Vertex {
+	if len(vs) == 0 {
+		return nil
 	}
-	// The emit lock spans hub registration and routing-table insertion, so
-	// a concurrent ingest can never evaluate the new subscription before
-	// its connection is routable (which would silently drop its first
-	// event).
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	id, res, err := s.hub.Subscribe(context.Background(), *req.Request)
-	if err != nil {
-		return Response{Error: err.Error()}
+	out := make([]trajectory.Vertex, len(vs))
+	for i, v := range vs {
+		out[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
 	}
-	s.subsMu.Lock()
-	s.subscribers[id] = cs
-	cs.subs[id] = struct{}{}
-	s.subsMu.Unlock()
-	ans := encodeAnswer(res)
-	return Response{OK: true, SubID: id, Answer: &ans}
-}
-
-// doUnsubscribe drops a subscription by ID — one this connection owns, or
-// a detached one (its previous owner is gone, and canceling beats leaving
-// it to LRU eviction); never another live connection's stream.
-func (s *Server) doUnsubscribe(req Request, cs *connState) Response {
-	s.subsMu.Lock()
-	_, owned := cs.subs[req.SubID]
-	if owned {
-		delete(s.subscribers, req.SubID)
-		delete(cs.subs, req.SubID)
-	} else if _, detached := s.detached[req.SubID]; detached {
-		delete(s.detached, req.SubID)
-		owned = true
-	}
-	s.subsMu.Unlock()
-	if !owned || !s.hub.Unsubscribe(req.SubID) {
-		return Response{Error: fmt.Sprintf("unsubscribe: unknown subscription %d", req.SubID)}
-	}
-	return Response{OK: true}
+	return out
 }
 
 // encodeBounds replaces +Inf with -1: JSON has no Inf literal, and slice
@@ -1411,11 +835,7 @@ func decodeBounds(bs []float64) []float64 {
 func encodeTrajs(trs []*trajectory.Trajectory) []WireTraj {
 	out := make([]WireTraj, len(trs))
 	for i, tr := range trs {
-		verts := make([][3]float64, len(tr.Verts))
-		for j, v := range tr.Verts {
-			verts[j] = [3]float64{v.X, v.Y, v.T}
-		}
-		out[i] = WireTraj{OID: tr.OID, Verts: verts}
+		out[i] = WireTraj{OID: tr.OID, Verts: encodeVerts(tr.Verts)}
 	}
 	return out
 }
@@ -1424,11 +844,7 @@ func encodeTrajs(trs []*trajectory.Trajectory) []WireTraj {
 func decodeTrajs(wts []WireTraj) ([]*trajectory.Trajectory, error) {
 	out := make([]*trajectory.Trajectory, len(wts))
 	for i, wt := range wts {
-		verts := make([]trajectory.Vertex, len(wt.Verts))
-		for j, v := range wt.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		tr, err := trajectory.New(wt.OID, verts)
+		tr, err := trajectory.New(wt.OID, decodeVerts(wt.Verts))
 		if err != nil {
 			return nil, err
 		}
@@ -1438,64 +854,21 @@ func decodeTrajs(wts []WireTraj) ([]*trajectory.Trajectory, error) {
 }
 
 // Client is a synchronous protocol client. Not safe for concurrent use;
-// open one client per goroutine. A client that subscribes keeps reading
-// request replies normally — asynchronous event lines that arrive between
-// a request and its reply are buffered and drained with NextEvent.
+// open one client per goroutine.
 type Client struct {
-	conn    net.Conn
-	sc      *bufio.Scanner
-	enc     *json.Encoder
-	pending []continuous.Event
+	conn net.Conn
+	sc   *bufio.Scanner
+	enc  *json.Encoder
 	// frameBytes remembers the server's advertised request-line cap (the
 	// spec reply's max_line) for sizing gather upload frames.
 	frameBytes int
 }
 
-// Dial connects to a server at addr (plaintext, no auth).
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, DialOptions{})
-}
-
-// DialOptions configures transport security for DialWith.
-type DialOptions struct {
-	// TLS, when set, wraps the connection in a TLS client handshake
-	// before any protocol byte moves.
-	TLS *tls.Config
-	// Token, when non-empty, authenticates the connection immediately
-	// after dialing (the auth op); every subsequent op rides the
-	// authenticated connection.
-	Token string
-}
-
-// DialWith connects to a server at addr with transport security: an
-// optional TLS handshake, then an optional token auth op. A server that
-// rejects the token fails the dial with ErrUnauthorized.
-func DialWith(addr string, opts DialOptions) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if opts.TLS != nil {
-		conn, err = TLSClient(conn, opts.TLS, addr)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c := NewClient(conn)
-	if opts.Token != "" {
-		if err := c.Auth(opts.Token); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // TLSClient wraps an established connection in a TLS client handshake,
 // defaulting the verification ServerName from addr when the config names
 // none (tls.Client, unlike tls.Dial, cannot infer one). On handshake
-// failure the connection is closed. Shared by DialWith and the cluster
-// RemoteShard (which dials through an injectable Dialer).
+// failure the connection is closed. The cluster RemoteShard dials through
+// an injectable Dialer and wraps the result here.
 func TLSClient(conn net.Conn, cfg *tls.Config, addr string) (net.Conn, error) {
 	if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
 		host, _, err := net.SplitHostPort(addr)
@@ -1523,9 +896,9 @@ func (c *Client) Auth(token string) error {
 
 // ClientMaxLine bounds a single response line on the client side (1 GiB).
 // Deliberately far above the server's request cap: the client talks to a
-// server the operator chose, and the survivors/all phases of the cluster
-// protocol legitimately ship whole trajectory sets as one line — at
-// production populations that is well past the 1 MiB request limit.
+// server the operator chose, and legitimate replies (a large refine
+// answer, a frame from a server with a raised line cap) may exceed the
+// 1 MiB request limit.
 const ClientMaxLine = 1 << 30
 
 // NewClient wraps an established connection (useful with net.Pipe in
@@ -1543,25 +916,15 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, err
 	}
+	if !c.sc.Scan() {
+		if err := c.sc.Err(); err != nil {
+			return Response{}, err
+		}
+		return Response{}, ErrConnClosed
+	}
 	var resp Response
-	for {
-		if !c.sc.Scan() {
-			if err := c.sc.Err(); err != nil {
-				return Response{}, err
-			}
-			return Response{}, ErrConnClosed
-		}
-		resp = Response{}
-		if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-			return Response{}, lineError(c.sc.Bytes(), err)
-		}
-		if resp.Event != nil {
-			// An asynchronous subscription event raced our reply; queue it
-			// for NextEvent and keep waiting for the actual response.
-			c.pending = append(c.pending, *resp.Event)
-			continue
-		}
-		break
+	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+		return Response{}, lineError(c.sc.Bytes(), err)
 	}
 	if resp.MaxLine > 0 {
 		c.frameBytes = resp.MaxLine
@@ -1578,12 +941,6 @@ func respError(resp Response) error {
 	switch resp.Code {
 	case codeNotFound:
 		return wireError{msg: resp.Error, is: mod.ErrNotFound}
-	case codeEventGap:
-		return wireError{msg: resp.Error, is: continuous.ErrEventGap}
-	case codeEventStalled:
-		return wireError{msg: resp.Error, is: ErrEventStalled}
-	case codeSubExpired:
-		return wireError{msg: resp.Error, is: ErrSubExpired}
 	case codeUnauthorized:
 		return wireError{msg: resp.Error, is: ErrUnauthorized}
 	case codeTLSRequired:
@@ -1608,12 +965,6 @@ func lineError(line []byte, err error) error {
 	return err
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(Request{Op: "ping"})
-	return err
-}
-
 // Count returns the number of stored trajectories.
 func (c *Client) Count() (int, error) {
 	resp, err := c.roundTrip(Request{Op: "count"})
@@ -1629,122 +980,19 @@ func (c *Client) Spec() (mod.PDFSpec, error) {
 	return *resp.Spec, nil
 }
 
-// Insert uploads a trajectory.
-func (c *Client) Insert(tr *trajectory.Trajectory) error {
-	verts := make([][3]float64, len(tr.Verts))
-	for i, v := range tr.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
-	_, err := c.roundTrip(Request{Op: "insert", OID: tr.OID, Verts: verts})
-	return err
-}
-
-// Get downloads a trajectory.
-func (c *Client) Get(oid int64) (*trajectory.Trajectory, error) {
-	tr, _, err := c.GetTagged(oid)
-	return tr, err
-}
-
 // GetTagged downloads a trajectory together with its tag set (nil when
-// untagged) — the cluster's point-lookup path under predicates.
+// untagged) — the cluster's point-lookup path. A missing OID satisfies
+// errors.Is(err, mod.ErrNotFound).
 func (c *Client) GetTagged(oid int64) (*trajectory.Trajectory, []string, error) {
 	resp, err := c.roundTrip(Request{Op: "get", OID: oid})
 	if err != nil {
 		return nil, nil, err
 	}
-	verts := make([]trajectory.Vertex, len(resp.Verts))
-	for i, v := range resp.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	tr, err := trajectory.New(resp.OID, verts)
+	tr, err := trajectory.New(resp.OID, decodeVerts(resp.Verts))
 	if err != nil {
 		return nil, nil, err
 	}
 	return tr, resp.Tags, nil
-}
-
-// Delete removes a trajectory.
-func (c *Client) Delete(oid int64) error {
-	_, err := c.roundTrip(Request{Op: "delete", OID: oid})
-	return err
-}
-
-// PlanTrip asks the server to plan a constant-speed trip through the
-// waypoints starting at startT (the Section 2.1 server-side construction)
-// and insert it; the planned trajectory is returned.
-func (c *Client) PlanTrip(oid int64, waypoints []geom.Point, startT, speed float64) (*trajectory.Trajectory, error) {
-	wps := make([][2]float64, len(waypoints))
-	for i, w := range waypoints {
-		wps[i] = [2]float64{w.X, w.Y}
-	}
-	resp, err := c.roundTrip(Request{Op: "trip", OID: oid, Waypoints: wps, Start: startT, Speed: speed})
-	if err != nil {
-		return nil, err
-	}
-	verts := make([]trajectory.Vertex, len(resp.Verts))
-	for i, v := range resp.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	return trajectory.New(resp.OID, verts)
-}
-
-// UQL runs a UQL statement remotely.
-func (c *Client) UQL(query string) (uql.Result, error) {
-	resp, err := c.roundTrip(Request{Op: "uql", Query: query})
-	if err != nil {
-		return uql.Result{}, err
-	}
-	if resp.Bool != nil {
-		return uql.Result{IsBool: true, Bool: *resp.Bool}, nil
-	}
-	return uql.Result{OIDs: resp.OIDs}, nil
-}
-
-// Query evaluates unified engine.Request descriptors remotely through the
-// server's Engine.DoBatch, under an optional server-side deadline
-// (deadline <= 0 means none). One Result comes back per request, in
-// order, with Explain provenance; per-request failures are reported in
-// the matching Result.Err. An expired deadline fails the whole call with
-// the server's context error.
-func (c *Client) Query(reqs []engine.Request, deadline time.Duration) ([]engine.Result, error) {
-	wire := Request{Op: "query", Requests: reqs}
-	if deadline > 0 {
-		wire.DeadlineMS = int64(deadline / time.Millisecond)
-		if wire.DeadlineMS == 0 {
-			wire.DeadlineMS = 1
-		}
-	}
-	resp, err := c.roundTrip(wire)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Answers) != len(reqs) {
-		return nil, fmt.Errorf("modserver: query returned %d answers for %d requests",
-			len(resp.Answers), len(reqs))
-	}
-	out := make([]engine.Result, len(resp.Answers))
-	for i, a := range resp.Answers {
-		out[i].Kind = reqs[i].Kind
-		if !a.OK {
-			out[i].Err = errors.New(a.Error)
-			continue
-		}
-		if a.Explain != nil {
-			out[i].Explain = *a.Explain
-		}
-		switch {
-		case a.IsBool:
-			out[i].IsBool = true
-			if a.Bool != nil {
-				out[i].Bool = *a.Bool
-			}
-		case a.Pairs != nil:
-			out[i].Pairs = a.Pairs
-		default:
-			out[i].OIDs = a.OIDs
-		}
-	}
-	return out, nil
 }
 
 // deadlineMS converts a client deadline to the wire field (0 = none),
@@ -1764,13 +1012,9 @@ func deadlineMS(d time.Duration) int64 {
 // per-slice upper bounds on the server store's local Level-k envelope
 // against query trajectory q over [tb, te]. deadline <= 0 means none.
 func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate, deadline time.Duration) ([]float64, error) {
-	verts := make([][3]float64, len(q.Verts))
-	for i, v := range q.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
 	resp, err := c.roundTrip(Request{
 		Op: "query", Phase: "bounds",
-		OID: q.OID, Verts: verts, Tb: tb, Te: te, K: k, Where: where,
+		OID: q.OID, Verts: encodeVerts(q.Verts), Tb: tb, Te: te, K: k, Where: where,
 		DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1785,13 +1029,9 @@ func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, wh
 // single non-more response is the degenerate one-frame case. deadline
 // <= 0 means none.
 func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate, deadline time.Duration) ([]*trajectory.Trajectory, prune.Stats, error) {
-	verts := make([][3]float64, len(q.Verts))
-	for i, v := range q.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
 	resp, err := c.roundTripStream(Request{
 		Op: "query", Phase: "survivors",
-		OID: q.OID, Verts: verts, Tb: tb, Te: te, Where: where,
+		OID: q.OID, Verts: encodeVerts(q.Verts), Tb: tb, Te: te, Where: where,
 		Bounds: encodeBounds(bounds), DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1825,15 +1065,7 @@ func (c *Client) AllTrajectories() ([]*trajectory.Trajectory, error) {
 // alongside the error — the same partial-prefix contract as the
 // in-process mod.ApplyUpdates.
 func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
-	wire := Request{Op: "ingest", Updates: make([]WireTraj, len(updates))}
-	for i, u := range updates {
-		verts := make([][3]float64, len(u.Verts))
-		for j, v := range u.Verts {
-			verts[j] = [3]float64{v.X, v.Y, v.T}
-		}
-		wire.Updates[i] = WireTraj{OID: u.OID, Verts: verts, Tags: u.Tags, Retire: u.Retire}
-	}
-	resp, err := c.roundTrip(wire)
+	resp, err := c.roundTrip(Request{Op: "ingest", Updates: encodeUpdates(updates)})
 	if err != nil {
 		partial, derr := decodeApplied(resp.Applied)
 		if derr != nil {
@@ -1848,36 +1080,6 @@ func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
 	return decodeApplied(resp.Applied)
 }
 
-// decodeApplied rebuilds applied outcomes from the wire.
-func decodeApplied(was []WireApplied) ([]mod.Applied, error) {
-	out := make([]mod.Applied, len(was))
-	for i, wa := range was {
-		a := mod.Applied{OID: wa.OID, Inserted: wa.Inserted, Retired: wa.Retired, ChangedFrom: wa.ChangedFrom,
-			TagsChanged: wa.TagsChanged, Tags: wa.Tags, PrevTags: wa.PrevTags}
-		if wa.Inserted || wa.Retired {
-			a.ChangedFrom = math.Inf(-1)
-		} else if wa.TagsOnly {
-			a.ChangedFrom = math.Inf(1)
-		}
-		if len(wa.Verts) > 0 {
-			trs, err := decodeTrajs([]WireTraj{{OID: wa.OID, Verts: wa.Verts}})
-			if err != nil {
-				return nil, err
-			}
-			a.Traj = trs[0]
-		}
-		if len(wa.PrevVerts) > 0 {
-			trs, err := decodeTrajs([]WireTraj{{OID: wa.OID, Verts: wa.PrevVerts}})
-			if err != nil {
-				return nil, err
-			}
-			a.Prev = trs[0]
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
 // Owns reports, elementwise, whether the server's store holds each OID —
 // the bulk ownership probe behind cluster ingest placement.
 func (c *Client) Owns(oids []int64) ([]bool, error) {
@@ -1889,124 +1091,4 @@ func (c *Client) Owns(oids []int64) ([]bool, error) {
 		return nil, fmt.Errorf("modserver: owns returned %d answers for %d oids", len(resp.Owned), len(oids))
 	}
 	return resp.Owned, nil
-}
-
-// Subscribe registers a standing request on this connection and returns
-// the subscription ID with its initial result. Subsequent ingests (from
-// any connection) push diff events onto this connection; read them with
-// NextEvent.
-func (c *Client) Subscribe(req engine.Request) (int64, engine.Result, error) {
-	resp, err := c.roundTrip(Request{Op: "subscribe", Request: &req})
-	if err != nil {
-		return 0, engine.Result{Kind: req.Kind, Err: err}, err
-	}
-	res := decodeAnswerResult(resp.Answer)
-	res.Kind = req.Kind
-	return resp.SubID, res, nil
-}
-
-// Resume re-attaches this connection to a subscription a previous
-// connection owned, replaying every event after fromSeq (the last
-// sequence this client saw; 0 replays the whole retained backlog). The
-// returned result is the subscription's current answer; the missed diff
-// events follow on the event stream (NextEvent) in order, with their
-// original sequence numbers, before any live events. A backlog truncated
-// past fromSeq fails with continuous.ErrEventGap — take a fresh Subscribe
-// (or a Resume at the current seq) and treat its answer as the new
-// baseline.
-func (c *Client) Resume(subID int64, fromSeq uint64) (engine.Result, error) {
-	resp, err := c.roundTrip(Request{Op: "subscribe", SubID: subID, FromSeq: fromSeq})
-	if err != nil {
-		return engine.Result{Err: err}, err
-	}
-	return decodeAnswerResult(resp.Answer), nil
-}
-
-// decodeAnswerResult rebuilds a subscription answer from the wire.
-func decodeAnswerResult(a *Answer) engine.Result {
-	var res engine.Result
-	if a == nil {
-		return res
-	}
-	if a.Explain != nil {
-		res.Explain = *a.Explain
-	}
-	switch {
-	case a.IsBool:
-		res.IsBool = true
-		if a.Bool != nil {
-			res.Bool = *a.Bool
-		}
-	case a.Pairs != nil:
-		res.Pairs = a.Pairs
-	default:
-		res.OIDs = a.OIDs
-	}
-	return res
-}
-
-// Unsubscribe drops a subscription by ID.
-func (c *Client) Unsubscribe(id int64) error {
-	_, err := c.roundTrip(Request{Op: "unsubscribe", SubID: id})
-	return err
-}
-
-// NextEvent returns the next subscription diff event, blocking until one
-// arrives (or the connection closes). Events buffered while waiting for
-// request replies drain first. A server that severed this stream because
-// the client read too slowly is reported as ErrEventStalled (from the
-// server's parting event_stalled line), distinct from the bare
-// ErrConnClosed of a died transport.
-func (c *Client) NextEvent() (continuous.Event, error) {
-	if len(c.pending) > 0 {
-		ev := c.pending[0]
-		c.pending = c.pending[1:]
-		return ev, nil
-	}
-	for {
-		if !c.sc.Scan() {
-			if err := c.sc.Err(); err != nil {
-				return continuous.Event{}, err
-			}
-			return continuous.Event{}, ErrConnClosed
-		}
-		var resp Response
-		if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-			return continuous.Event{}, lineError(c.sc.Bytes(), err)
-		}
-		if resp.Event != nil {
-			return *resp.Event, nil
-		}
-		if resp.Code == codeEventStalled {
-			return continuous.Event{}, wireError{msg: resp.Error, is: ErrEventStalled}
-		}
-		// A non-event line here means the caller mixed request/reply
-		// traffic with event draining out of order; skip it.
-	}
-}
-
-// Batch runs a multi-statement UQL script remotely through the server's
-// batch engine. One item comes back per statement, in order; per-statement
-// failures are reported in the item's Err.
-func (c *Client) Batch(queries []string) ([]uql.BatchItem, error) {
-	resp, err := c.roundTrip(Request{Op: "batch", Queries: queries})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(queries) {
-		return nil, fmt.Errorf("modserver: batch returned %d results for %d queries",
-			len(resp.Results), len(queries))
-	}
-	out := make([]uql.BatchItem, len(resp.Results))
-	for i, e := range resp.Results {
-		switch {
-		case !e.OK:
-			out[i].Err = errors.New(e.Error)
-		case e.Bool != nil:
-			out[i].Result = uql.Result{IsBool: true, Bool: *e.Bool}
-		default:
-			out[i].Result = uql.Result{OIDs: e.OIDs}
-		}
-	}
-	return out, nil
 }

@@ -1,12 +1,16 @@
 package modserver
 
 import (
+	"bufio"
+	"crypto/tls"
+	"errors"
+	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
@@ -15,21 +19,7 @@ import (
 // startServer returns a running server on a loopback port and its address.
 func startServer(t *testing.T, store *mod.Store) (*Server, string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(store)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(l)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return srv, l.Addr().String()
+	return startServerWith(t, store, Options{})
 }
 
 // startServerWith is startServer with explicit server options.
@@ -52,12 +42,37 @@ func startServerWith(t *testing.T, store *mod.Store, o Options) (*Server, string
 	return srv, l.Addr().String()
 }
 
-// isDetached reports whether sub id sits in the detached (resumable) set.
-func (s *Server) isDetached(id int64) bool {
-	s.subsMu.Lock()
-	defer s.subsMu.Unlock()
-	_, ok := s.detached[id]
-	return ok
+// dialWith connects a client the way cluster.RemoteShard does: TCP, an
+// optional TLS handshake, then an optional token auth.
+func dialWith(addr string, cfg *tls.Config, token string) (*Client, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if cfg != nil {
+		if conn, err = TLSClient(conn, cfg, addr); err != nil {
+			return nil, err
+		}
+	}
+	c := NewClient(conn)
+	if token != "" {
+		if err := c.Auth(token); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// mustDial connects a plaintext, unauthenticated client.
+func mustDial(t *testing.T, addr string) *Client {
+	t.Helper()
+	c, err := dialWith(addr, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func seededStore(t *testing.T, n int) *mod.Store {
@@ -76,85 +91,101 @@ func seededStore(t *testing.T, n int) *mod.Store {
 	return st
 }
 
+// TestClientServerRoundTrip drives every non-query op and every ingest
+// outcome shape through the client: count, spec, get, owns, and an
+// ingest revision, insert, tag flip and retirement whose applied
+// outcomes survive the wire encoding (±Inf ChangedFrom included).
 func TestClientServerRoundTrip(t *testing.T) {
-	store := seededStore(t, 20)
+	store := liveStore(t)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := mustDial(t, addr)
 
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
 	n, err := c.Count()
-	if err != nil || n != 20 {
+	if err != nil || n != 4 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 	spec, err := c.Spec()
 	if err != nil || spec.Kind != mod.PDFUniform || spec.R != 0.5 {
 		t.Fatalf("spec = %+v, %v", spec, err)
 	}
-	// Insert + get round trip.
+
+	// Revision: object 3 re-planned from t=6; prefix kept through t=5.
+	applied, err := c.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
+		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(applied) != 1 || applied[0].Inserted || applied[0].ChangedFrom != 5 ||
+		applied[0].Traj == nil || applied[0].Prev == nil ||
+		len(applied[0].Traj.Verts) != 8 || len(applied[0].Prev.Verts) != 11 {
+		t.Fatalf("revision outcome = %+v", applied)
+	}
+
+	// Insert: ChangedFrom round-trips as -Inf; get returns the object.
 	tr, err := trajectory.New(500, []trajectory.Vertex{{X: 1, Y: 2, T: 0}, {X: 3, Y: 4, T: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(500)
+	applied, err = c.Ingest([]mod.Update{{OID: tr.OID, Verts: tr.Verts}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.OID != 500 || len(got.Verts) != 2 || got.Verts[1] != tr.Verts[1] {
-		t.Fatalf("get = %+v", got)
+	if !applied[0].Inserted || !math.IsInf(applied[0].ChangedFrom, -1) {
+		t.Fatalf("insert outcome = %+v", applied[0])
 	}
-	// Duplicate insert surfaces the server-side error.
-	if err := c.Insert(tr); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate insert: %v", err)
-	}
-	// Delete.
-	if err := c.Delete(500); err != nil {
+	got, tags, err := c.GetTagged(500)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(500); err == nil {
-		t.Fatal("get after delete should fail")
+	if got.OID != 500 || len(got.Verts) != 2 || got.Verts[1] != tr.Verts[1] || tags != nil {
+		t.Fatalf("get = %+v tags %v", got, tags)
 	}
-	if err := c.Delete(500); err == nil {
-		t.Fatal("double delete should fail")
+
+	// Pure tag flip: ChangedFrom round-trips as +Inf; get carries tags.
+	flip := []string{"available"}
+	applied, err = c.Ingest([]mod.Update{{OID: 500, Tags: &flip}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !applied[0].TagsChanged || !math.IsInf(applied[0].ChangedFrom, 1) {
+		t.Fatalf("tag flip outcome = %+v", applied[0])
+	}
+	if _, tags, err = c.GetTagged(500); err != nil || fmt.Sprint(tags) != "[available]" {
+		t.Fatalf("get after flip: tags %v, %v", tags, err)
+	}
+	owned, err := c.Owns([]int64{500, 999})
+	if err != nil || !owned[0] || owned[1] {
+		t.Fatalf("owns = %v, %v", owned, err)
+	}
+
+	// Retirement: the object leaves the store; a second retirement fails
+	// with the not-found identity.
+	applied, err = c.Ingest([]mod.Update{{OID: 500, Retire: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !applied[0].Retired || !math.IsInf(applied[0].ChangedFrom, -1) {
+		t.Fatalf("retire outcome = %+v", applied[0])
+	}
+	if _, _, err := c.GetTagged(500); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("get after retire: %v, want mod.ErrNotFound", err)
+	}
+	if _, err := c.Ingest([]mod.Update{{OID: 500, Retire: true}}); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("double retire: %v, want mod.ErrNotFound", err)
 	}
 }
 
-func TestUQLOverWire(t *testing.T) {
-	store := seededStore(t, 25)
-	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
+// exchange writes one raw request line and returns the reply line.
+func exchange(t *testing.T, conn net.Conn, sc *bufio.Scanner, line string) string {
+	t.Helper()
+	if _, err := conn.Write([]byte(line + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	res, err := c.UQL("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
-	if err != nil {
-		t.Fatal(err)
+	if !sc.Scan() {
+		t.Fatalf("no reply to %s: %v", line, sc.Err())
 	}
-	if res.IsBool || len(res.OIDs) == 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	// Boolean form.
-	res, err = c.UQL("SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IsBool {
-		t.Fatalf("expected bool result: %+v", res)
-	}
-	// Bad UQL surfaces the error.
-	if _, err := c.UQL("garbage"); err == nil {
-		t.Fatal("bad UQL accepted")
-	}
+	return sc.Text()
 }
 
 func TestProtocolErrors(t *testing.T) {
@@ -165,40 +196,58 @@ func TestProtocolErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	sc := bufio.NewScanner(conn)
 	// Raw malformed JSON line: server answers with ok=false, keeps the
 	// connection alive.
-	if _, err := conn.Write([]byte("{not json}\n")); err != nil {
-		t.Fatal(err)
+	if resp := exchange(t, conn, sc, "{not json}"); !strings.Contains(resp, `"ok":false`) {
+		t.Fatalf("response = %s", resp)
 	}
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
+	if resp := exchange(t, conn, sc, `{"op":"launch"}`); !strings.Contains(resp, `"code":"unknown_op"`) {
+		t.Fatalf("response = %s", resp)
+	}
+	// Invalid trajectory via ingest (an insert needs two vertices).
+	if resp := exchange(t, conn, sc, `{"op":"ingest","updates":[{"oid":9,"verts":[[0,0,0]]}]}`); !strings.Contains(resp, `"ok":false`) {
+		t.Fatalf("response = %s", resp)
+	}
+	if resp := exchange(t, conn, sc, `{"op":"count"}`); !strings.Contains(resp, `"count":5`) {
+		t.Fatalf("response = %s", resp)
+	}
+}
+
+// TestRemovedOpsUnknown: the client-protocol ops that moved to the HTTP
+// gateway get the typed unknown-op reply, and the connection keeps
+// serving shard ops after each.
+func TestRemovedOpsUnknown(t *testing.T) {
+	store := seededStore(t, 5)
+	_, addr := startServer(t, store)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(buf[:n]), `"ok":false`) {
-		t.Fatalf("response = %s", buf[:n])
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	for _, line := range []string{
+		`{"op":"ping"}`,
+		`{"op":"subscribe","request":{"kind":"UQ31","query_oid":1,"tb":0,"te":60}}`,
+		`{"op":"subscribe","sub_id":1,"from_seq":0}`,
+		`{"op":"unsubscribe","sub_id":1}`,
+		`{"op":"insert","oid":9,"verts":[[0,0,0],[1,1,60]]}`,
+		`{"op":"delete","oid":1}`,
+		`{"op":"trip","oid":9,"waypoints":[[0,0],[3,4]],"start":0,"speed":1}`,
+		`{"op":"uql","query":"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0"}`,
+		`{"op":"batch","queries":["SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0"]}`,
+		`{"op":"query","requests":[{"kind":"UQ31","query_oid":1,"tb":0,"te":60}]}`,
+	} {
+		resp := exchange(t, conn, sc, line)
+		if !strings.Contains(resp, `"ok":false`) || !strings.Contains(resp, `"code":"unknown_op"`) {
+			t.Fatalf("%s: response = %s", line, resp)
+		}
+		if resp := exchange(t, conn, sc, `{"op":"count"}`); !strings.Contains(resp, `"count":5`) {
+			t.Fatalf("count after %s: %s", line, resp)
+		}
 	}
-	// Unknown op.
-	if _, err := conn.Write([]byte(`{"op":"launch"}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	n, err = conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(buf[:n]), "unknown op") {
-		t.Fatalf("response = %s", buf[:n])
-	}
-	// Invalid trajectory via insert.
-	if _, err := conn.Write([]byte(`{"op":"insert","oid":9,"verts":[[0,0,0]]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	n, err = conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(buf[:n]), `"ok":false`) {
-		t.Fatalf("response = %s", buf[:n])
+	if n := store.Len(); n != 5 {
+		t.Fatalf("removed ops mutated the store: len %d", n)
 	}
 }
 
@@ -210,7 +259,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(base int64) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialWith(addr, nil, "")
 			if err != nil {
 				t.Error(err)
 				return
@@ -218,18 +267,13 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for i := int64(0); i < 20; i++ {
 				oid := 1000 + base*100 + i
-				tr, err := trajectory.New(oid, []trajectory.Vertex{
+				if _, err := c.Ingest([]mod.Update{{OID: oid, Verts: []trajectory.Vertex{
 					{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 60},
-				})
-				if err != nil {
+				}}}); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := c.Insert(tr); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := c.Get(oid); err != nil {
+				if _, _, err := c.GetTagged(oid); err != nil {
 					t.Error(err)
 					return
 				}
@@ -248,14 +292,11 @@ func TestServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store)
+	srv := NewServerWith(store, nil, Options{})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(l) }()
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(); err != nil {
+	c := mustDial(t, l.Addr().String())
+	if _, err := c.Count(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -271,38 +312,5 @@ func TestServerClose(t *testing.T) {
 	// Serving again after close refuses.
 	if err := srv.Serve(l); err != ErrServerClosed {
 		t.Fatalf("Serve after close: %v", err)
-	}
-	c.Close()
-}
-
-func TestPlanTripOverWire(t *testing.T) {
-	store := seededStore(t, 3)
-	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tr, err := c.PlanTrip(900, []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.OID != 900 || len(tr.Verts) != 2 || tr.Verts[1].T != 15 {
-		t.Fatalf("trip = %+v", tr)
-	}
-	// Trip was inserted server-side.
-	got, err := c.Get(900)
-	if err != nil || got.Verts[1] != tr.Verts[1] {
-		t.Fatalf("get after trip: %+v, %v", got, err)
-	}
-	// Errors surface: too few waypoints, duplicate OID, bad speed.
-	if _, err := c.PlanTrip(901, []geom.Point{{X: 0, Y: 0}}, 0, 1); err == nil {
-		t.Error("single waypoint accepted")
-	}
-	if _, err := c.PlanTrip(900, []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, 0, 1); err == nil {
-		t.Error("duplicate trip OID accepted")
-	}
-	if _, err := c.PlanTrip(902, []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, 0, 0); err == nil {
-		t.Error("zero speed accepted")
 	}
 }

@@ -1,105 +1,85 @@
 package modserver
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/mod"
+	"repro/internal/prune"
 	"repro/internal/queries"
 )
 
-// TestQueryOpOverWire: the unified query op must agree with direct
-// Engine.Do evaluation, carry Explain provenance, and report per-request
-// failures in place.
-func TestQueryOpOverWire(t *testing.T) {
-	store := seededStore(t, 30)
-	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+// phaseCall runs one deadline-carrying shard phase against the server.
+type phaseCall struct {
+	name string
+	run  func(c *Client, deadline time.Duration) error
+}
+
+// deadlinePhases builds the bounds, survivors and refine calls over a
+// store large enough that each phase costs well over a millisecond on
+// the server: the survivors phase imposes huge finite bounds (every
+// object is swept, none pruned) and the refine evaluates UQ31 over the
+// whole store as the union.
+func deadlinePhases(t *testing.T, store *mod.Store) []phaseCall {
+	t.Helper()
+	oids := store.OIDs()
+	q, err := store.Get(oids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	qOID := store.OIDs()[0]
-	reqs := []engine.Request{
-		{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60},
-		{Kind: engine.KindUQ41, QueryOID: qOID, Tb: 0, Te: 60, K: 2},
-		{Kind: engine.KindUQ11, QueryOID: qOID, Tb: 0, Te: 60, OID: store.OIDs()[1]},
-		{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 60, Te: 0}, // bad window
-		{Kind: "NOPE", QueryOID: qOID, Tb: 0, Te: 60},          // bad kind
-	}
-	got, err := c.Query(reqs, 0)
+	union := store.All()
+	huge, err := prune.SliceBounds(context.Background(), store, q, 0, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(reqs) {
-		t.Fatalf("got %d results, want %d", len(got), len(reqs))
+	for i := range huge {
+		huge[i] = 1e9
 	}
-
-	eng := engine.New(0)
-	for i, req := range reqs[:3] {
-		want, err := eng.Do(nil, store, req)
-		if err != nil {
-			t.Fatalf("direct Do %d: %v", i, err)
-		}
-		if got[i].Err != nil {
-			t.Fatalf("wire result %d: %v", i, got[i].Err)
-		}
-		if got[i].IsBool != want.IsBool || got[i].Bool != want.Bool {
-			t.Errorf("request %d: wire %+v != direct %+v", i, got[i], want)
-		}
-		wantIDs, gotIDs := append([]int64{}, want.OIDs...), append([]int64{}, got[i].OIDs...)
-		if len(wantIDs) != len(gotIDs) {
-			t.Errorf("request %d: wire OIDs %v != direct %v", i, gotIDs, wantIDs)
-		}
-		if got[i].Explain.Workers == 0 {
-			t.Errorf("request %d: explain lost on the wire: %+v", i, got[i].Explain)
-		}
-	}
-	if got[3].Err == nil || !strings.Contains(got[3].Err.Error(), "window") {
-		t.Errorf("bad window not reported per-request: %v", got[3].Err)
-	}
-	if got[4].Err == nil {
-		t.Error("bad kind not reported per-request")
-	}
-
-	// The connection still serves after per-request failures.
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
+	gather := 0
+	return []phaseCall{
+		{"bounds", func(c *Client, d time.Duration) error {
+			_, err := c.ShardBounds(q, 0, 60, 10, nil, d)
+			return err
+		}},
+		{"survivors", func(c *Client, d time.Duration) error {
+			_, _, err := c.ShardSurvivors(q, 0, 60, huge, nil, d)
+			return err
+		}},
+		{"refine", func(c *Client, d time.Duration) error {
+			// A fresh gather ID per call: every refine uploads and
+			// evaluates from scratch instead of reusing a memoized build.
+			gather++
+			_, err := c.ShardRefine(fmt.Sprintf("g%d", gather), union, oids[1:],
+				engine.Request{Kind: engine.KindUQ31, QueryOID: q.OID, Tb: 0, Te: 60}, d)
+			return err
+		}},
 	}
 }
 
-// TestQueryOpDeadline: an un-meetable deadline fails the op with the
-// server's context error and leaves the store and connection usable.
+// TestQueryOpDeadline: an un-meetable deadline_ms fails each deadline-
+// carrying phase with the server's context error and leaves the store and
+// connection usable.
 func TestQueryOpDeadline(t *testing.T) {
-	store := seededStore(t, 400)
+	store := seededStore(t, 16000)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := mustDial(t, addr)
 
-	// Enough distinct (query, window) pairs that every request pays a
-	// fresh O(N) preprocessing: far beyond a 1 ms deadline at N=400.
-	oids := store.OIDs()
-	var reqs []engine.Request
-	for i := 0; i < 64; i++ {
-		reqs = append(reqs, engine.Request{
-			Kind: engine.KindUQ31, QueryOID: oids[i], Tb: 0, Te: 30 + float64(i)/100,
-		})
-	}
-	if _, err := c.Query(reqs, time.Millisecond); err == nil ||
-		!strings.Contains(err.Error(), "context deadline exceeded") {
-		t.Fatalf("deadline not enforced: err=%v", err)
-	}
-
-	// Store and connection remain usable: the same first request answers
-	// fine without a deadline.
-	got, err := c.Query(reqs[:1], 0)
-	if err != nil || got[0].Err != nil {
-		t.Fatalf("server unusable after expired deadline: %v / %v", err, got[0].Err)
+	for _, ph := range deadlinePhases(t, store) {
+		if err := ph.run(c, time.Millisecond); err == nil ||
+			!strings.Contains(err.Error(), "context deadline exceeded") {
+			t.Fatalf("%s: deadline not enforced: err=%v", ph.name, err)
+		}
+		// The connection remains usable: the same phase answers without
+		// a deadline.
+		if err := ph.run(c, 0); err != nil {
+			t.Fatalf("%s: server unusable after expired deadline: %v", ph.name, err)
+		}
 	}
 	n, err := c.Count()
 	if err != nil || n != store.Len() {
@@ -107,19 +87,37 @@ func TestQueryOpDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineIdentityOverWire: a server-side deadline expiry keeps its
+// context.DeadlineExceeded identity at the client — the regression the
+// HTTP layer's 504 mapping rides on (it used to arrive as a generic
+// string).
+func TestDeadlineIdentityOverWire(t *testing.T) {
+	store := seededStore(t, 16000)
+	_, addr := startServer(t, store)
+	c := mustDial(t, addr)
+
+	for _, ph := range deadlinePhases(t, store) {
+		if err := ph.run(c, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s deadline identity: %v, want context.DeadlineExceeded", ph.name, err)
+		}
+		// The connection survives the coded failure.
+		if _, err := c.Count(); err != nil {
+			t.Fatalf("count after coded %s deadline: %v", ph.name, err)
+		}
+	}
+}
+
 // TestQueryOpThresholdKind exercises a Section 7 kind end to end over the
-// wire against the serial Processor.
+// wire — ALLTHRESH through the refine phase, with the whole store as the
+// gathered union and every object as the shard's own share — against the
+// serial Processor.
 func TestQueryOpThresholdKind(t *testing.T) {
 	store := seededStore(t, 8)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := mustDial(t, addr)
 
-	qOID := store.OIDs()[0]
-	q, err := store.Get(qOID)
+	oids := store.OIDs()
+	q, err := store.Get(oids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +129,12 @@ func TestQueryOpThresholdKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Query([]engine.Request{
-		{Kind: engine.KindAllThreshold, QueryOID: qOID, Tb: 0, Te: 60, P: 0.4, X: 0.1},
-	}, 0)
-	if err != nil || got[0].Err != nil {
-		t.Fatalf("ALLTHRESH over wire: %v / %v", err, got[0].Err)
+	got, err := c.ShardRefine("thresh", store.All(), oids[1:],
+		engine.Request{Kind: engine.KindAllThreshold, QueryOID: q.OID, Tb: 0, Te: 60, P: 0.4, X: 0.1}, 0)
+	if err != nil {
+		t.Fatalf("ALLTHRESH over wire: %v", err)
 	}
-	if len(got[0].OIDs) != len(want) {
-		t.Fatalf("ALLTHRESH wire %v != serial %v", got[0].OIDs, want)
-	}
-	for i := range want {
-		if got[0].OIDs[i] != want[i] {
-			t.Fatalf("ALLTHRESH wire %v != serial %v", got[0].OIDs, want)
-		}
+	if len(want) == 0 || !slices.Equal(got.OIDs, want) {
+		t.Fatalf("ALLTHRESH wire %v != serial %v", got.OIDs, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/prune"
@@ -58,11 +57,6 @@ func chunkTrajs(wts []WireTraj, budget int) [][]WireTraj {
 	}
 	return append(out, cur)
 }
-
-// sendFrame writes one frame of a streamed reply under the write
-// deadline: a reader that stalls mid-stream is severed at the next frame
-// instead of pinning the connection goroutine on a full TCP buffer.
-func (cs *connState) sendFrame(resp Response) error { return cs.sendEvent(resp) }
 
 // streamPhase evaluates the survivors/all phases and streams the reply.
 // It reports false when a write failed and the connection must close (a
@@ -218,43 +212,38 @@ func (s *Server) doRefine(req Request, cs *connState) Response {
 	if err != nil {
 		return codedFail(err)
 	}
-	ex := res.Explain
-	return Response{OK: true, Answer: &Answer{OK: true, OIDs: res.OIDs, Explain: &ex}}
+	return Response{OK: true, OIDs: res.OIDs, Explain: &res.Explain}
 }
 
 // StreamAccum incrementally reassembles a streamed reply from raw
 // response lines. Feed each line to AddLine; chunks accumulate until the
 // final (non-more) frame arrives, which is returned with the full
-// trajectory set folded in. Event lines pass through untouched.
+// trajectory set folded in.
 type StreamAccum struct {
 	trajs []WireTraj
 	done  bool
 }
 
 // AddLine consumes one response line. It returns the assembled final
-// response once the stream completes, an asynchronous subscription event
-// if the line was one, or neither for an intermediate frame.
-func (a *StreamAccum) AddLine(line []byte) (*Response, *continuous.Event, error) {
+// response once the stream completes, or nil for an intermediate frame.
+func (a *StreamAccum) AddLine(line []byte) (*Response, error) {
 	if a.done {
-		return nil, nil, errors.New("modserver: stream already complete")
+		return nil, errors.New("modserver: stream already complete")
 	}
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, nil, err
-	}
-	if resp.Event != nil {
-		return nil, resp.Event, nil
+		return nil, err
 	}
 	if resp.OK && resp.More {
 		a.trajs = append(a.trajs, resp.Trajs...)
-		return nil, nil, nil
+		return nil, nil
 	}
 	a.done = true
 	resp.More = false
 	if len(a.trajs) > 0 {
 		resp.Trajs = append(a.trajs, resp.Trajs...)
 	}
-	return &resp, nil, nil
+	return &resp, nil
 }
 
 // roundTripStream sends a request whose reply may arrive as a frame
@@ -272,13 +261,9 @@ func (c *Client) roundTripStream(req Request) (Response, error) {
 			}
 			return Response{}, ErrConnClosed
 		}
-		final, ev, err := acc.AddLine(c.sc.Bytes())
+		final, err := acc.AddLine(c.sc.Bytes())
 		if err != nil {
 			return Response{}, lineError(c.sc.Bytes(), err)
-		}
-		if ev != nil {
-			c.pending = append(c.pending, *ev)
-			continue
 		}
 		if final == nil {
 			continue
@@ -320,7 +305,11 @@ func (c *Client) ShardRefine(gatherID string, union []*trajectory.Trajectory, ow
 	if err != nil {
 		return engine.Result{Kind: req.Kind, Err: err}, err
 	}
-	return answerResult(req.Kind, resp.Answer)
+	res := engine.Result{Kind: req.Kind, OIDs: resp.OIDs}
+	if resp.Explain != nil {
+		res.Explain = *resp.Explain
+	}
+	return res, nil
 }
 
 // uploadRefine ships the union store in chunked gather frames and refines
@@ -362,32 +351,4 @@ func (c *Client) frameBudget() (int, error) {
 		b = 1
 	}
 	return b, nil
-}
-
-// answerResult rebuilds an engine.Result from a wire Answer.
-func answerResult(kind engine.Kind, a *Answer) (engine.Result, error) {
-	res := engine.Result{Kind: kind}
-	if a == nil {
-		res.Err = errors.New("modserver: reply carries no answer")
-		return res, res.Err
-	}
-	if !a.OK {
-		res.Err = errors.New(a.Error)
-		return res, res.Err
-	}
-	if a.Explain != nil {
-		res.Explain = *a.Explain
-	}
-	switch {
-	case a.IsBool:
-		res.IsBool = true
-		if a.Bool != nil {
-			res.Bool = *a.Bool
-		}
-	case a.Pairs != nil:
-		res.Pairs = a.Pairs
-	default:
-		res.OIDs = a.OIDs
-	}
-	return res, nil
 }

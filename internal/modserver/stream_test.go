@@ -27,11 +27,7 @@ import (
 func TestStreamedAllChunked(t *testing.T) {
 	store := testStore(t, 60)
 	addr := startTCPServer(t, store, Options{MaxLineBytes: 4096})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := mustDial(t, addr)
 	trs, err := c.AllTrajectories()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +175,7 @@ func TestGatherUploadCapped(t *testing.T) {
 		t.Fatalf("oversized gather was accepted: %+v", resp)
 	}
 	// The failure is per-gather, not per-connection.
-	if err := enc.Encode(Request{Op: "ping"}); err != nil {
+	if err := enc.Encode(Request{Op: "count"}); err != nil {
 		t.Fatal(err)
 	}
 	if !sc.Scan() {
@@ -201,11 +197,7 @@ func TestGatherUploadCapped(t *testing.T) {
 func TestShardRefineUploadAndReuse(t *testing.T) {
 	store := testStore(t, 30)
 	addr := startTCPServer(t, store, Options{MaxLineBytes: 4096})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := mustDial(t, addr)
 
 	union := store.All()
 	qOID := union[0].OID
@@ -275,11 +267,8 @@ func FuzzStreamAccum(f *testing.F) {
 			if len(line) == 0 {
 				continue
 			}
-			final, ev, err := acc.AddLine(line)
+			final, err := acc.AddLine(line)
 			if err != nil {
-				continue
-			}
-			if ev != nil {
 				continue
 			}
 			if final == nil {
@@ -292,7 +281,7 @@ func FuzzStreamAccum(f *testing.F) {
 			if final.OK && len(final.Trajs) < accumulated {
 				t.Fatalf("final frame folded %d trajs, accumulated %d", len(final.Trajs), accumulated)
 			}
-			if _, _, err := acc.AddLine([]byte("{\"ok\":true}")); err == nil {
+			if _, err := acc.AddLine([]byte("{\"ok\":true}")); err == nil {
 				t.Fatal("AddLine accepted input after the final frame")
 			}
 			break

@@ -35,14 +35,14 @@
 //     serving layer that retries transient shard failures
 //     (RetryPolicy) or, with ClusterOptions.Degraded, answers from the
 //     reachable shards with Explain.Degraded provenance,
-//   - production serving: the line-protocol server and client
-//     (NewModServer / DialModServer, TLS and bearer-token capable) and
-//     the HTTP+JSON gateway (NewGateway) — typed-error JSON responses,
-//     SSE subscriptions with replay-backed resume, a committed OpenAPI
-//     spec (OpenAPISpec), and a Prometheus text exposition
-//     (NewGatewayMetrics); cmd/modserver serves both, and
-//     docker-compose.yml stands up a 2-shard TLS cluster behind the
-//     gateway,
+//   - production serving: the HTTP+JSON gateway (NewGateway) is the one
+//     client surface — typed-error JSON responses, SSE subscriptions
+//     with replay-backed resume, a committed OpenAPI spec (OpenAPISpec),
+//     and a Prometheus text exposition (NewGatewayMetrics). `modserver
+//     serve` runs it over a local engine or a shard cluster; plain
+//     `modserver` is a cluster shard speaking the internal shard RPC
+//     that NewRemoteShard dials, and docker-compose.yml stands up a
+//     2-shard TLS cluster behind the gateway,
 //   - the UQL query language (the SQL sketch of Section 4), and
 //   - the probabilistic machinery for instantaneous NN queries
 //     (Sections 2.2, 3.1).
@@ -87,7 +87,7 @@
 //	curl localhost:8080/metrics
 //
 // See examples/ for runnable programs, EXPERIMENTS.md for the benchmark
-// harness (including the old-call → Request migration table), and CI
+// harness, and CI
 // (.github/workflows/ci.yml) gates every push through the Makefile:
 // gofmt, go vet, staticcheck, build, the race-detector test suite, and
 // benchmark smoke runs including the Engine.Do overhead gate.
@@ -106,7 +106,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/metrics"
 	"repro/internal/mod"
-	"repro/internal/modserver"
 	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
@@ -236,28 +235,6 @@ func BuildIPACNN(trs []*Trajectory, q *Trajectory, tb, te, r float64, pdf Radial
 // GuaranteedNNIntervals) beyond what a Request expresses.
 type QueryProcessor = queries.Processor
 
-// NewQueryProcessor builds the preprocessing for query trajectory q over
-// [tb, te] with uncertainty radius r, scanning the full trajectory set.
-//
-// Deprecated: use Engine.Do with a Request (or Engine.Processor for
-// interval-level access); it answers identically while consulting the
-// store's spatial index and memoizing the preprocessing.
-func NewQueryProcessor(trs []*Trajectory, q *Trajectory, tb, te, r float64) (*QueryProcessor, error) {
-	return queries.NewProcessor(trs, q, tb, te, r)
-}
-
-// NewIndexedQueryProcessor builds the same preprocessing against a store,
-// first consulting the store's lazily maintained spatial index to discard
-// objects that provably cannot enter the 4r pruning zone anywhere in the
-// window. Answers are identical to NewQueryProcessor's for every query
-// variant; only the work to produce them shrinks with the survivor count.
-//
-// Deprecated: use Engine.Processor, which additionally memoizes the
-// construction per (store version, query, window).
-func NewIndexedQueryProcessor(store *Store, qOID int64, tb, te float64) (*QueryProcessor, error) {
-	return prune.NewProcessor(store, qOID, tb, te)
-}
-
 // PruneStats describes one index candidate pre-pass (candidates seen,
 // survivors kept, slices and probes spent).
 type PruneStats = prune.Stats
@@ -286,56 +263,6 @@ type HeteroQueryProcessor = queries.HeteroProcessor
 // maps every OID (including the query's) to its uncertainty radius.
 func NewHeteroQueryProcessor(trs []*Trajectory, q *Trajectory, tb, te float64, radii map[int64]float64) (*HeteroQueryProcessor, error) {
 	return queries.NewHeteroProcessor(trs, q, tb, te, radii)
-}
-
-// AllPairsPossibleNN computes every object's possible-NN set over the
-// window (Section 7 future work: all-pairs continuous probabilistic NN).
-//
-// Deprecated: use Engine.Do with Kind KindAllPairs against a Store — it
-// answers identically (index-pruned, parallel across query objects) and
-// supports cancellation. This wrapper stages trs into a transient store
-// and delegates.
-func AllPairsPossibleNN(trs []*Trajectory, tb, te, r float64) (map[int64][]int64, error) {
-	store, err := transientStore(trs, r)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewEngine(0).Do(context.Background(), store, Request{Kind: KindAllPairs, Tb: tb, Te: te})
-	if err != nil {
-		return nil, err
-	}
-	return res.Pairs, nil
-}
-
-// ReversePossibleNN returns the objects for which the target can be the
-// nearest neighbor (reverse continuous probabilistic NN, Section 7 future
-// work).
-//
-// Deprecated: use Engine.Do with Kind KindReverse against a Store. This
-// wrapper stages trs into a transient store and delegates.
-func ReversePossibleNN(trs []*Trajectory, target *Trajectory, tb, te, r float64) ([]int64, error) {
-	store, err := transientStore(trs, r)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewEngine(0).Do(context.Background(), store, Request{Kind: KindReverse, Tb: tb, Te: te, OID: target.OID})
-	if err != nil {
-		return nil, err
-	}
-	return res.OIDs, nil
-}
-
-// transientStore stages a trajectory slice behind the store-based unified
-// API for the deprecated slice-based wrappers.
-func transientStore(trs []*Trajectory, r float64) (*Store, error) {
-	store, err := NewUniformStore(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.InsertAll(trs); err != nil {
-		return nil, err
-	}
-	return store, nil
 }
 
 // KNNProbabilities generalizes Eq. 5 to top-k membership: the probability
@@ -399,27 +326,6 @@ var (
 	ErrBadPredicate = engine.ErrBadPredicate
 	ErrBadTag       = textidx.ErrBadTag
 )
-
-// BatchRequest is a batch of query variants sharing one query trajectory
-// and window.
-//
-// Deprecated: use []Request with Engine.DoBatch.
-type BatchRequest = engine.BatchRequest
-
-// BatchResult holds one item per requested query, in request order.
-//
-// Deprecated: use []Result from Engine.DoBatch.
-type BatchResult = engine.BatchResult
-
-// BatchQuery is one variant in a batch.
-//
-// Deprecated: use Request.
-type BatchQuery = engine.Query
-
-// BatchAnswer is the result of one query in a batch.
-//
-// Deprecated: use Result.
-type BatchAnswer = engine.Item
 
 // QueryKind names a query variant for the engine.
 type QueryKind = engine.Kind
@@ -662,38 +568,7 @@ func NewFaultInjector(seed int64, plan FaultPlan) *FaultInjector {
 	return faultinject.New(seed, plan)
 }
 
-// --- production serving (line protocol + HTTP gateway + metrics) ---
-
-// ModServer serves a store over a TCP listener with the line-delimited
-// JSON protocol (insert/get/query/subscribe/ingest; see
-// internal/modserver's package doc). Wrap the listener with
-// tls.NewListener for TLS; Options.Token requires every connection to
-// authenticate before its first operation.
-type ModServer = modserver.Server
-
-// ModServerOptions hardens a serving process: read/write deadlines,
-// request-line caps, the WAL journal hook, and the bearer token.
-type ModServerOptions = modserver.Options
-
-// NewModServer builds a line-protocol server over a store and engine
-// (nil engine: one worker per CPU).
-func NewModServer(store *Store, eng *Engine, o ModServerOptions) *ModServer {
-	return modserver.NewServerWith(store, eng, o)
-}
-
-// ModClient is the synchronous line-protocol client; open one per
-// goroutine.
-type ModClient = modserver.Client
-
-// ModDialOptions carries the client-side transport security: a TLS
-// config and the bearer token.
-type ModDialOptions = modserver.DialOptions
-
-// DialModServer connects to a modserver, completing the TLS handshake
-// and token authentication before returning.
-func DialModServer(addr string, o ModDialOptions) (*ModClient, error) {
-	return modserver.DialWith(addr, o)
-}
+// --- production serving (HTTP gateway + metrics) ---
 
 // Gateway is the production HTTP+JSON serving layer: POST /v1/query and
 // /v1/batch carry Request/Result verbatim with the typed error taxonomy
@@ -747,24 +622,11 @@ var OpenAPISpec = openapi.Spec
 
 // --- UQL (Section 4's SQL sketch) ---
 
-// UQLResult is the outcome of a UQL statement.
-type UQLResult = uql.Result
-
-// RunUQL parses and evaluates a UQL statement against a store, e.g.
-//
-//	SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 5, Time) > 0
-//
-// The statement compiles to a Request and evaluates through the unified
-// engine route (serially).
-//
-// Deprecated: use CompileUQL with Engine.Do (or RunUQLBatch with an
-// engine) for parallel evaluation, Explain stats and cancellation.
-func RunUQL(query string, store *Store) (UQLResult, error) { return uql.Run(query, store) }
-
 // CompileUQL parses a UQL statement of the possible-NN family and
-// compiles it to the unified Request. ok is false for the threshold
-// (`> p`) and CertainNN predicates, which have no Request kind yet and
-// evaluate through RunUQL/RunUQLBatch.
+// compiles it to the unified Request, ready for Engine.Do or the
+// gateway's /v1/query. ok is false for the threshold (`> p`) and
+// CertainNN predicates, which have no Request kind yet (the uncertnn CLI
+// evaluates them).
 func CompileUQL(query string) (Request, bool, error) {
 	st, err := uql.Parse(query)
 	if err != nil {
@@ -772,20 +634,6 @@ func CompileUQL(query string) (Request, bool, error) {
 	}
 	req, ok := uql.Compile(st)
 	return req, ok, nil
-}
-
-// UQLBatchItem is one statement's outcome in a multi-statement script.
-type UQLBatchItem = uql.BatchItem
-
-// RunUQLBatch evaluates a multi-statement UQL script through the engine:
-// each statement compiles to a Request, statements sharing a query
-// trajectory and window share one preprocessing, and whole-MOD statements
-// evaluate in parallel. A nil engine evaluates serially.
-//
-// Deprecated: compile statements with CompileUQL and use Engine.DoBatch,
-// which adds Explain stats and context cancellation.
-func RunUQLBatch(queries []string, store *Store, eng *Engine) []UQLBatchItem {
-	return uql.RunBatch(queries, store, eng)
 }
 
 // ClusteredWorkloadConfig parameterizes the hotspot workload generator

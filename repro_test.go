@@ -1,13 +1,12 @@
-//lint:file-ignore SA1019 facade tests keep covering the deprecated
-// compatibility wrappers until they are removed.
-
 package repro_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"repro"
+	"repro/internal/queries"
 )
 
 func seededStore(t *testing.T, n int) *repro.Store {
@@ -24,6 +23,30 @@ func seededStore(t *testing.T, n int) *repro.Store {
 		t.Fatal(err)
 	}
 	return store
+}
+
+// doUQL compiles UQL statements to Requests and evaluates them as one
+// engine batch — the facade's UQL route.
+func doUQL(t *testing.T, eng *repro.Engine, store *repro.Store, stmts ...string) []repro.Result {
+	t.Helper()
+	reqs := make([]repro.Request, len(stmts))
+	for i, stmt := range stmts {
+		req, ok, err := repro.CompileUQL(stmt)
+		if err != nil || !ok {
+			t.Fatalf("CompileUQL(%q): ok=%v err=%v", stmt, ok, err)
+		}
+		reqs[i] = req
+	}
+	res, err := eng.DoBatch(context.Background(), store, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%q: %v", stmts[i], r.Err)
+		}
+	}
+	return res
 }
 
 // TestFacadeEndToEnd walks the whole public surface the README shows.
@@ -50,16 +73,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("RankedAt = %v vs AnswerAt = %d", ranked, tree.AnswerAt(30))
 	}
 
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, store.Radius())
+	proc, err := queries.NewProcessor(store.All(), q, 0, 60, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
 	uq31 := proc.UQ31()
-	res, err := repro.RunUQL(
-		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := doUQL(t, repro.NewEngine(1), store,
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")[0]
 	if len(res.OIDs) != len(uq31) {
 		t.Fatalf("UQL %d ids vs processor %d", len(res.OIDs), len(uq31))
 	}
@@ -148,40 +168,37 @@ func TestFacadeWorkloadConfigs(t *testing.T) {
 }
 
 // TestFacadeBatchEngine exercises the engine exports: a typed batch, the
-// UQL script form, and agreement with the serial processor.
+// compiled UQL form, and agreement with the serial processor.
 func TestFacadeBatchEngine(t *testing.T) {
 	store := seededStore(t, 80)
 	eng := repro.NewEngine(0)
 
-	res, err := eng.ExecBatch(store, repro.BatchRequest{
-		QueryOID: 1, Tb: 0, Te: 60,
-		Queries: []repro.BatchQuery{
-			{Kind: repro.KindUQ31},
-			{Kind: repro.KindUQ41, K: 2},
-			{Kind: repro.KindUQ13, OID: 2, X: 0.1},
-		},
+	res, err := eng.DoBatch(context.Background(), store, []repro.Request{
+		{Kind: repro.KindUQ31, QueryOID: 1, Tb: 0, Te: 60},
+		{Kind: repro.KindUQ41, QueryOID: 1, Tb: 0, Te: 60, K: 2},
+		{Kind: repro.KindUQ13, QueryOID: 1, Tb: 0, Te: 60, OID: 2, X: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Items) != 3 {
-		t.Fatalf("items = %d", len(res.Items))
+	if len(res) != 3 {
+		t.Fatalf("results = %d", len(res))
 	}
-	for i, it := range res.Items {
-		if it.Err != nil {
-			t.Fatalf("item %d: %v", i, it.Err)
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("result %d: %v", i, r.Err)
 		}
 	}
 	q, err := store.Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, store.Radius())
+	proc, err := queries.NewProcessor(store.All(), q, 0, 60, store.Radius())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := proc.UQ31()
-	got := res.Items[0].OIDs
+	got := res[0].OIDs
 	if len(got) != len(want) {
 		t.Fatalf("UQ31: engine %v != serial %v", got, want)
 	}
@@ -191,17 +208,11 @@ func TestFacadeBatchEngine(t *testing.T) {
 		}
 	}
 
-	items := repro.RunUQLBatch([]string{
+	items := doUQL(t, eng, store,
 		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
 		"SELECT 2 FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0",
-	}, store, eng)
-	if len(items) != 2 {
-		t.Fatalf("uql items = %d", len(items))
-	}
-	if items[0].Err != nil || items[1].Err != nil {
-		t.Fatalf("uql errors: %v, %v", items[0].Err, items[1].Err)
-	}
-	if items[0].Result.IsBool || !items[1].Result.IsBool {
+	)
+	if items[0].IsBool || !items[1].IsBool {
 		t.Fatalf("result shapes: %+v", items)
 	}
 }
